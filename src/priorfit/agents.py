@@ -21,17 +21,10 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .model import Episode, Model
-from .prior import CLASSIFICATION, GeneratorHyperSpace, sample_generator
+from .prior import GeneratorHyperSpace, sample_generator
 from .seeding import NS_AGENT_RESET, derive_seed
 
 log = logging.getLogger(__name__)
-
-NLL_EPSILON = 1e-9  # probability floor for test labels absent from the context
-
-
-class AgentError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -122,49 +115,6 @@ class AgentPool:
         return sum(1 for a in self.agents if a.maybe_reset())
 
 
-def _pad_to_width(x: Tensor, width: int) -> Tensor:
-    n, d = x.shape
-    if d >= width:
-        return x[:, :width]
-    return T.concat([x, Tensor(np.zeros((n, width - d)))], axis=1)
-
-
-def agent_loss(agent: AgentState, model: Model, episode: Episode,
-               gate_rng: Optional[np.random.Generator] = None) -> T.Tensor:
-    """Mean log-likelihood of the model on the episode's test rows, the
-    quantity whose gradients the agent climbs (the negated per-point NLL).
-
-    The episode must have been generated by this agent on the live tape;
-    a gradient-disconnected episode (hard discretization, or generation
-    outside a tape) is refused.
-    """
-    ds = episode.dataset
-    if not ds.X.requires_grad:
-        raise AgentError("episode is not gradient-connected to the agent "
-                         "(generate with soft discretization on an active tape)")
-    l, n = episode.l, ds.n
-    x = T.reshape(_pad_to_width(ds.X, model.cfg.feature_width), (1, n, -1))
-    y = T.reshape(ds.y_values, (1, n))
-    if ds.task == CLASSIFICATION:
-        classes = np.unique(ds.y_labels[:l])
-        lookup = {c: i for i, c in enumerate(classes)}
-        train01 = np.array([[lookup[c] for c in ds.y_labels[:l]]])
-        test_raw = ds.y_labels[l:]
-        valid = np.array([c in lookup for c in test_raw])
-        test01 = np.array([[lookup.get(c, 0) for c in test_raw]])
-        probs = model.forward_classification(x, y, l, train01, len(classes), gate_rng)
-        p_true = T.take_along_last(probs, test01)
-        mask = Tensor(valid.astype(np.float64)[None, :])
-        p_eff = T.add(T.mul(p_true, mask), T.mul(Tensor(1.0 - mask.data), NLL_EPSILON))
-        return T.mean(T.log(p_eff))
-    mu, sigma = model.forward_regression(x, y, l)
-    y_test = T.reshape(ds.y_values, (1, n))[:, l:]
-    z = T.div(T.sub(y_test, mu), sigma)
-    point_ll = T.neg(T.add(T.add(T.log(sigma), 0.5 * np.log(2.0 * np.pi)),
-                           T.mul(0.5, T.mul(z, z))))
-    return T.mean(point_ll)
-
-
 def ascend_or_reset(agent: AgentState) -> bool:
     """Climb the populated gradients, or reset the agent when they are
     missing or non-finite. Returns True when the ascent step was taken."""
@@ -176,16 +126,3 @@ def ascend_or_reset(agent: AgentState) -> bool:
     log.warning("agent %d: non-finite or missing gradients", agent.slot)
     agent.reset(reason="nan-gradients")
     return False
-
-
-def joint_update(agent: Optional[AgentState], model: Model, lr_model: float) -> None:
-    """Apply the coherent single-iteration update from one completed backward
-    pass: descent on the model, sign-flipped ascent with decoupled weight
-    decay on the agent. Model parameters outside the episode's graph (the
-    unused heads) carry no gradient and stay put."""
-    if agent is not None:
-        ascend_or_reset(agent)
-    touched = [p for p in model.parameters() if p.grad is not None]
-    if not touched:
-        raise T.MissingGradient("joint_update: model received no gradients")
-    T.descend_step(touched, lr_model)

@@ -28,7 +28,7 @@ from .diversity import prior_diversity_report
 from .infer import (BATCH_CAP, BatchPlan, aggregate_classification,
                     aggregate_regression, permutation_ensemble, predict)
 from .metrics import mse, rank_and_wins, roc_auc_ovo, score_summary
-from .model import Episode, Model
+from .model import Episode, Model, Prediction
 from .prior import CLASSIFICATION, Dataset, generate_dataset, sample_generator
 from .seeding import NS_EVAL, NS_MODEL_INIT, derive_rng, derive_seed
 from .train import _forward_episode_losses, pretrain
@@ -63,7 +63,6 @@ def _predict_any(model, train_ds, test_x, test_missing, ensemble, seed):
             return aggregate_classification(model, train_ds, test_x, plan,
                                             test_missing)
         mu = aggregate_regression(model, train_ds, test_x, plan, test_missing)
-        from .model import Prediction
         return Prediction(task=train_ds.task, mu=mu, sigma=None)
     return predict(model, train_ds, test_x, test_missing,
                    feature_rng=derive_rng(seed, NS_EVAL, 3))
@@ -97,17 +96,19 @@ def _cmd_predict(args) -> int:
 
 
 def _split_score(model, ds, rng, seed) -> float:
-    """One seeded 80-20 split; OVO ROC-AUC for classification, MSE otherwise."""
+    """One seeded 80-20 split; OVO ROC-AUC for classification, MSE otherwise.
+
+    A classification split is redrawn until its test rows hold two classes;
+    after 20 draws without one the split is refused before predicting."""
     n = ds.n
     l = max(1, int(round(0.8 * n)))
     for _ in range(20):
         order = rng.permutation(n)
-        test_labels = None
-        if ds.task == CLASSIFICATION:
-            test_labels = ds.y_labels[order[l:]]
-            if np.unique(test_labels).size < 2:
-                continue
-        break
+        if ds.task != CLASSIFICATION or np.unique(ds.y_labels[order[l:]]).size >= 2:
+            break
+    else:
+        raise ValueError("no split with two classes among the test rows "
+                         "after 20 draws")
     train_rows, test_rows = order[:l], order[l:]
     sub = Dataset(
         X=Tensor(ds.X.data[train_rows]),

@@ -6,13 +6,12 @@ a mask (imputation happens downstream, after normalization), and label-
 encodes the target. Row order is never changed, so row identity survives
 from file to prediction output.
 
-Datasets round-trip through a columnar binary container (exact) and CSV.
+Datasets export to CSV for round trips through ingestion.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -214,45 +213,6 @@ def ingest_features_with_schema(path, schemas: list[ColumnSchema]
             feats.append(codes)
             missing.append(miss)
     return np.stack(feats, axis=1), np.stack(missing, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# dataset container files
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    """Columnar binary container; bit-exact round trip."""
-    header = {
-        "task": ds.task,
-        "n_classes": ds.n_classes,
-        "has_labels": ds.y_labels is not None,
-        "has_missing": ds.missing_mask is not None,
-    }
-    payload = {
-        "__header__": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        "X": ds.X.data,
-        "y_values": ds.y_values.data,
-        "cat_mask": ds.cat_mask,
-    }
-    if ds.y_labels is not None:
-        payload["y_labels"] = ds.y_labels
-    if ds.missing_mask is not None:
-        payload["missing_mask"] = ds.missing_mask
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
-
-
-def load_dataset(path) -> Dataset:
-    with np.load(path) as z:
-        header = json.loads(bytes(z["__header__"]).decode())
-        return Dataset(
-            X=Tensor(z["X"].copy(), dtype=z["X"].dtype),
-            y_values=Tensor(z["y_values"].copy(), dtype=z["y_values"].dtype),
-            y_labels=z["y_labels"].copy() if header["has_labels"] else None,
-            cat_mask=z["cat_mask"].copy(),
-            task=header["task"],
-            n_classes=header["n_classes"],
-            missing_mask=z["missing_mask"].copy() if header["has_missing"] else None)
 
 
 def export_csv(ds: Dataset, path, target_name: str = "target") -> None:

@@ -66,21 +66,15 @@ def pearson_signal(ds: Dataset) -> float:
 def prior_diversity_report(collection_a: list[Dataset],
                            collection_b: list[Dataset],
                            bins: int = GRID_BINS) -> dict:
-    """KL estimates between the pooled point clouds (both directions, per-
-    dataset averaging exposed alongside) plus per-collection Pearson stats."""
+    """KL estimates between the pooled point clouds, in both directions, plus
+    per-collection Pearson stats and the two density grids."""
     grid_a = histogram_density(pooled_points(collection_a), bins=bins)
     grid_b = histogram_density(pooled_points(collection_b), bins=bins)
     pear_a = np.array([pearson_signal(ds) for ds in collection_a])
     pear_b = np.array([pearson_signal(ds) for ds in collection_b])
-    per_dataset = [
-        kl_divergence(histogram_density(ds.X.data, bins=bins), grid_b)
-        for ds in collection_a
-    ]
     return {
         "kl_ab": kl_divergence(grid_a, grid_b),
         "kl_ba": kl_divergence(grid_b, grid_a),
-        "kl_per_dataset_mean": float(np.mean(per_dataset)),
-        "kl_per_dataset_std": float(np.std(per_dataset)),
         "pearson_a": {"mean": float(pear_a.mean()), "std": float(pear_a.std())},
         "pearson_b": {"mean": float(pear_b.mean()), "std": float(pear_b.std())},
         "grid_a": grid_a,

@@ -123,10 +123,6 @@ class MetricReport:
                          "wins": int(self.wins[j])}
         return out
 
-    def ordered_by_mean_rank(self) -> list[str]:
-        means = self.ranks.mean(axis=0)
-        return [self.algorithms[j] for j in np.argsort(means, kind="mergesort")]
-
 
 def rank_and_wins(scores: np.ndarray, algorithms: list[str],
                   datasets: Optional[list[str]] = None,

@@ -672,14 +672,6 @@ def zero_grads(params) -> None:
         p.grad = None
 
 
-def descend_step(params, lr: float) -> None:
-    """Plain gradient descent: p -= lr * grad."""
-    for p in params:
-        if p.grad is None:
-            raise MissingGradient("descend_step: parameter has no gradient")
-        p.data = p.data - lr * p.grad
-
-
 def ascend_step(params, lr: float, weight_decay: float = 0.0) -> None:
     """Sign-flipped update: p += lr * grad, then decay by (1 - lr * weight_decay).
 

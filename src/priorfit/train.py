@@ -24,9 +24,9 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .agents import NLL_EPSILON, AgentConfig, AgentPool, ascend_or_reset
+from .agents import AgentConfig, AgentPool, ascend_or_reset
 from .model import Episode, Model, ModelConfig
-from .prior import (CLASSIFICATION, REGRESSION, Dataset, GeneratorHyperSpace,
+from .prior import (CLASSIFICATION, REGRESSION, GeneratorHyperSpace,
                     generate_dataset, sample_generator)
 from .seeding import (NS_BATCH_META, NS_EPISODE, NS_GATES, NS_MODEL_INIT,
                       NS_ORDINARY_GEN, derive_rng, derive_seed)
@@ -34,6 +34,7 @@ from .seeding import (NS_BATCH_META, NS_EPISODE, NS_GATES, NS_MODEL_INIT,
 log = logging.getLogger(__name__)
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+NLL_EPSILON = 1e-9  # probability floor for test labels absent from the context
 
 
 @dataclass(frozen=True)
@@ -116,33 +117,6 @@ def nll_regression(mu: Tensor, sigma: Tensor, y_test: Tensor) -> Tensor:
     return T.mean(point, axis=-1)
 
 
-def train_alphabet(ds: Dataset, l: int) -> np.ndarray:
-    return np.unique(ds.y_labels[:l])
-
-
-def nll(pred, episode: Episode) -> Tensor:
-    """Episode-level NLL against a prediction aligned with its test rows.
-
-    For classification, pred is an (n_test, C) probability tensor over the
-    sorted labels observed in the training rows; for regression, a (mu,
-    sigma) pair of (n_test,) tensors.
-    """
-    ds, l = episode.dataset, episode.l
-    if ds.task == CLASSIFICATION:
-        classes = train_alphabet(ds, l)
-        lookup = {c: i for i, c in enumerate(classes)}
-        test_raw = ds.y_labels[l:]
-        idx = np.array([[lookup.get(c, 0) for c in test_raw]])
-        valid = np.array([[c in lookup for c in test_raw]])
-        probs = pred if pred.ndim == 3 else T.reshape(pred, (1,) + pred.shape)
-        return T.reshape(nll_classification(probs, idx, valid), ())
-    mu, sigma = pred
-    mu = mu if mu.ndim == 2 else T.reshape(mu, (1, -1))
-    sigma = sigma if sigma.ndim == 2 else T.reshape(sigma, (1, -1))
-    y_test = T.reshape(ds.y_values, (1, -1))[:, l:]
-    return T.reshape(nll_regression(mu, sigma, y_test), ())
-
-
 def sample_split(n: int, rng: np.random.Generator) -> int:
     """Split position leaving at least 2 training and 2 test rows, uniform on
     [max(2, ceil(0.1 n)), n - 2]."""
@@ -156,19 +130,18 @@ def sample_split(n: int, rng: np.random.Generator) -> int:
 # batched forward
 
 
-def _pad_feature_block(x: Tensor, width: int) -> Tensor:
-    n, d = x.shape
-    if d > width:
-        return x[:, :width]
-    if d < width:
-        return T.concat([x, Tensor(np.zeros((n, width - d)))], axis=1)
-    return x
-
-
-def _batch_width(model: Model, episodes: list[Episode]) -> int:
-    if model.cfg.embed_mode == "dense":
-        return model.cfg.feature_width
-    return max(ep.dataset.d for ep in episodes)
+def _stack_features(episodes: list[Episode]) -> Tensor:
+    """Stack the episodes' feature blocks into (B, n, d), zero-padding each
+    to the widest episode; Model.embed_features maps d onto the model."""
+    width = max(ep.dataset.d for ep in episodes)
+    blocks = []
+    for ep in episodes:
+        x = ep.dataset.X
+        if x.shape[1] < width:
+            x = T.concat([x, Tensor(np.zeros((x.shape[0], width - x.shape[1])))],
+                         axis=1)
+        blocks.append(x)
+    return T.stack(blocks)
 
 
 def _forward_episode_losses(model: Model, episodes: list[Episode], l: int,
@@ -178,10 +151,9 @@ def _forward_episode_losses(model: Model, episodes: list[Episode], l: int,
     reg = [ep for ep in episodes if ep.dataset.task == REGRESSION]
     pieces = []
     if cls:
-        width = _batch_width(model, cls)
-        x = T.stack([_pad_feature_block(ep.dataset.X, width) for ep in cls])
+        x = _stack_features(cls)
         y = T.stack([ep.dataset.y_values for ep in cls])
-        alphabets = [train_alphabet(ep.dataset, l) for ep in cls]
+        alphabets = [np.unique(ep.dataset.y_labels[:l]) for ep in cls]
         n_classes = max(a.size for a in alphabets)
         n_test = cls[0].dataset.n - l
         train01 = np.zeros((len(cls), l), dtype=np.intp)
@@ -196,8 +168,7 @@ def _forward_episode_losses(model: Model, episodes: list[Episode], l: int,
         probs = model.forward_classification(x, y, l, train01, n_classes, gate_rng)
         pieces.append(T.sum_(nll_classification(probs, test_idx, valid)))
     if reg:
-        width = _batch_width(model, reg)
-        x = T.stack([_pad_feature_block(ep.dataset.X, width) for ep in reg])
+        x = _stack_features(reg)
         y = T.stack([ep.dataset.y_values for ep in reg])
         mu, sigma = model.forward_regression(x, y, l)
         pieces.append(T.sum_(nll_regression(mu, sigma, y[:, l:])))

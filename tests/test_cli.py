@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from priorfit import cli
 from priorfit.cli import main
 from priorfit.config import RunConfig, dump_run_config, load_run_config
 from priorfit.agents import AgentConfig
 from priorfit.model import Model, ModelConfig
-from priorfit.prior import GeneratorHyperSpace, generate_dataset, sample_generator
+from priorfit.prior import (CLASSIFICATION, Dataset, GeneratorHyperSpace,
+                            generate_dataset, sample_generator)
+from priorfit.tensor import Tensor
 from priorfit.train import TrainConfig
 from priorfit.data_io import export_csv
 
@@ -189,6 +192,21 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
                    "--suite", str(empty), "--splits", "2"])
         assert rc == 1
+
+
+class TestSplitScore:
+    def test_single_class_test_rows_refused_before_predicting(self, monkeypatch):
+        # five rows leave one test row per 80-20 split: never two classes
+        labels = np.array([0, 1, 0, 1, 0])
+        ds = Dataset(X=Tensor(np.arange(10.0).reshape(5, 2)),
+                     y_values=Tensor(labels.astype(float)), y_labels=labels,
+                     cat_mask=np.zeros(2, dtype=bool), task=CLASSIFICATION,
+                     n_classes=2)
+        calls = []
+        monkeypatch.setattr(cli, "_predict_any", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="two classes"):
+            cli._split_score(None, ds, np.random.default_rng(0), seed=0)
+        assert calls == []
 
 
 class TestAnalyzePriorCommand:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from priorfit.data_io import (export_csv, infer_column_kind,
-                              ingest_csv, ingest_features_with_schema,
-                              load_dataset, save_dataset)
+                              ingest_csv, ingest_features_with_schema)
 from priorfit.prior import (CLASSIFICATION, REGRESSION, GeneratorHyperSpace,
                             generate_dataset, sample_generator)
 
@@ -112,16 +111,6 @@ class TestDatasetContainer:
     def synthetic(self, seed=3):
         space = GeneratorHyperSpace(categorical_fraction=(0.4, 0.4))
         return generate_dataset(sample_generator(space, seed), 24, seed=1)
-
-    def test_binary_round_trip_exact(self, tmp_path):
-        ds = self.synthetic()
-        save_dataset(ds, tmp_path / "d.npz")
-        back = load_dataset(tmp_path / "d.npz")
-        np.testing.assert_array_equal(back.X.data, ds.X.data)
-        np.testing.assert_array_equal(back.y_values.data, ds.y_values.data)
-        np.testing.assert_array_equal(back.y_labels, ds.y_labels)
-        np.testing.assert_array_equal(back.cat_mask, ds.cat_mask)
-        assert back.task == ds.task and back.n_classes == ds.n_classes
 
     def test_csv_round_trip_with_numeric_overrides(self, tmp_path):
         ds = self.synthetic(seed=5)

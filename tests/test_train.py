@@ -4,10 +4,11 @@ from scipy.stats import chi2
 
 from priorfit import tensor as T
 from priorfit.tensor import Tensor
-from priorfit.agents import AgentConfig, NLL_EPSILON
+from priorfit.agents import AgentConfig
 from priorfit.model import Episode, Model, ModelConfig
-from priorfit.prior import CLASSIFICATION, Dataset, GeneratorHyperSpace
-from priorfit.train import (AdamState, TrainConfig, TrainLog, nll,
+from priorfit.prior import CLASSIFICATION, REGRESSION, Dataset, GeneratorHyperSpace
+from priorfit.train import (NLL_EPSILON, AdamState, TrainConfig, TrainLog,
+                            _forward_episode_losses, nll_classification,
                             nll_regression, pretrain, sample_split, train_step)
 from priorfit.agents import AgentPool
 from gradcheck import finite_diff
@@ -27,33 +28,30 @@ def small_train_cfg(**kw):
 MODEL_CFG = ModelConfig(d_model=16, n_blocks=1, n_heads=2, d_ff=24, feature_width=3)
 
 
-def classification_episode(labels, l, probs=None, d=2):
-    labels = np.asarray(labels)
-    n = labels.size
-    ds = Dataset(X=Tensor(np.zeros((n, d))), y_values=Tensor(labels.astype(float)),
-                 y_labels=labels, cat_mask=np.zeros(d, dtype=bool),
-                 task=CLASSIFICATION)
-    return Episode(ds, l)
+def episode_nll(probs, test_labels, valid=None) -> float:
+    """nll_classification for one episode whose test labels index the
+    columns of probs; rows marked invalid carry labels absent from the
+    training context."""
+    idx = np.asarray(test_labels)[None, :]
+    valid = np.ones(idx.shape, dtype=bool) if valid is None else np.asarray(valid)[None, :]
+    return float(nll_classification(Tensor(np.asarray(probs)[None]), idx, valid).data[0])
 
 
 class TestNLL:
     def test_uniform_prediction_gives_log_c(self):
-        ep = classification_episode([0, 1, 2, 0, 1, 2], l=3)
-        pred = Tensor(np.full((3, 3), 1.0 / 3.0))
-        assert nll(pred, ep).item() == pytest.approx(np.log(3.0), rel=1e-12)
+        probs = np.full((3, 3), 1.0 / 3.0)
+        assert episode_nll(probs, [0, 1, 2]) == pytest.approx(np.log(3.0), rel=1e-12)
 
     def test_certain_prediction_gives_zero(self):
-        ep = classification_episode([0, 1, 0, 1], l=2)
         probs = np.zeros((2, 2))
-        probs[0, 0] = 1.0  # row 2 has label 0
-        probs[1, 1] = 1.0  # row 3 has label 1
-        assert nll(Tensor(probs), ep).item() == pytest.approx(0.0, abs=1e-12)
+        probs[0, 0] = 1.0  # first test row has label 0
+        probs[1, 1] = 1.0  # second test row has label 1
+        assert episode_nll(probs, [0, 1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_class_contributes_log_epsilon(self):
-        # label 2 never appears in the training rows
-        ep = classification_episode([0, 1, 0, 2], l=3)
-        pred = Tensor(np.array([[0.5, 0.5]]))
-        assert nll(pred, ep).item() == pytest.approx(-np.log(NLL_EPSILON), rel=1e-9)
+        # the test row's label never appears in the training rows
+        got = episode_nll([[0.5, 0.5]], [0], valid=[False])
+        assert got == pytest.approx(-np.log(NLL_EPSILON), rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_row_wise_oracle(self, seed):
@@ -61,7 +59,6 @@ class TestNLL:
         n, l, C = 12, 7, 3
         labels = rng.integers(0, C, size=n)
         labels[:C] = np.arange(C)  # all classes in the context
-        ep = classification_episode(labels, l)
         raw = rng.uniform(0.05, 1.0, size=(n - l, C))
         probs = raw / raw.sum(axis=1, keepdims=True)
         # independent oracle: plain python loop over rows
@@ -69,17 +66,16 @@ class TestNLL:
         for j, lab in enumerate(labels[l:]):
             total += -np.log(probs[j, lab])
         expected = total / (n - l)
-        assert nll(Tensor(probs), ep).item() == pytest.approx(expected, rel=1e-12)
+        assert episode_nll(probs, labels[l:]) == pytest.approx(expected, rel=1e-12)
 
     def test_equals_cross_entropy_of_onehot_truth(self):
         rng = np.random.default_rng(9)
         labels = np.array([0, 1, 1, 0, 1])
-        ep = classification_episode(labels, l=2)
         raw = rng.uniform(0.1, 1.0, size=(3, 2))
         probs = raw / raw.sum(axis=1, keepdims=True)
         onehot = np.eye(2)[labels[2:]]
         ce = -(onehot * np.log(probs)).sum(axis=1).mean()
-        assert nll(Tensor(probs), ep).item() == pytest.approx(ce, rel=1e-12)
+        assert episode_nll(probs, labels[2:]) == pytest.approx(ce, rel=1e-12)
 
     def test_gaussian_at_mode(self):
         sigma = 0.7
@@ -103,6 +99,33 @@ class TestNLL:
             lambda m: float(nll_regression(Tensor(m), Tensor(sigma0), Tensor(y)).data.sum()),
             [mu0], 0)
         np.testing.assert_allclose(mu.grad, fd, rtol=1e-6)
+
+
+def random_episode(task, d, n=14, l=8, seed=0):
+    rng = np.random.default_rng(seed)
+    if task == CLASSIFICATION:
+        labels = np.array([0, 1] * (n // 2))
+        rng.shuffle(labels)
+        y, y_labels = labels.astype(float), labels
+    else:
+        y, y_labels = rng.standard_normal(n), None
+    ds = Dataset(X=Tensor(rng.standard_normal((n, d))), y_values=Tensor(y),
+                 y_labels=y_labels, cat_mask=np.zeros(d, dtype=bool), task=task)
+    return Episode(ds, l)
+
+
+class TestBatchedEpisodeLosses:
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_mixed_widths_sum_single_episode_losses(self, task):
+        # dense embedding maps every episode onto feature_width on its own,
+        # so an episode's loss must not depend on the widths beside it
+        model = Model(MODEL_CFG, seed=5)
+        widths = (2, 5, MODEL_CFG.feature_width, 1, 6)
+        assert min(widths) < MODEL_CFG.feature_width < max(widths)
+        eps = [random_episode(task, d, seed=i) for i, d in enumerate(widths)]
+        batch = _forward_episode_losses(model, eps, 8, None).item()
+        singles = [_forward_episode_losses(model, [ep], 8, None).item() for ep in eps]
+        assert batch == pytest.approx(sum(singles), rel=1e-12)
 
 
 class TestSampleSplit:
