@@ -25,7 +25,7 @@ from .agents import AgentConfig, AgentState, ascend_or_reset
 from .config import RunManifest, load_run_config
 from .data_io import ingest_csv, ingest_features_with_schema, TARGET
 from .diversity import prior_diversity_report
-from .infer import (BATCH_CAP, BatchPlan, aggregate_classification,
+from .infer import (BATCH_CAP, BatchPlan, _take_rows, aggregate_classification,
                     aggregate_regression, permutation_ensemble, predict)
 from .metrics import mse, rank_and_wins, roc_auc_ovo, score_summary
 from .model import Episode, Model, Prediction
@@ -110,12 +110,7 @@ def _split_score(model, ds, rng, seed) -> float:
         raise ValueError("no split with two classes among the test rows "
                          "after 20 draws")
     train_rows, test_rows = order[:l], order[l:]
-    sub = Dataset(
-        X=Tensor(ds.X.data[train_rows]),
-        y_values=Tensor(ds.y_values.data[train_rows]),
-        y_labels=None if ds.y_labels is None else ds.y_labels[train_rows],
-        cat_mask=ds.cat_mask, task=ds.task, n_classes=ds.n_classes,
-        missing_mask=None if ds.missing_mask is None else ds.missing_mask[train_rows])
+    sub = _take_rows(ds, train_rows)
     test_x = ds.X.data[test_rows]
     test_missing = None if ds.missing_mask is None else ds.missing_mask[test_rows]
     pred = _predict_any(model, sub, test_x, test_missing, ensemble=1, seed=seed)
@@ -153,7 +148,7 @@ def _cmd_evaluate(args) -> int:
                         "std": float(np.nanstd(scores))})
     elapsed = time.time() - t0
     matrix = np.array(matrix)
-    summary = score_summary(np.nan_to_num(matrix, nan=0.5))
+    summary = score_summary(matrix)
     report = rank_and_wins(np.nanmean(matrix, axis=1)[:, None], ["priorfit"],
                            datasets=names, timing={"total_seconds": elapsed})
     out = {"datasets": records, "summary": summary,
@@ -170,6 +165,7 @@ def _cmd_evaluate(args) -> int:
     print(f"overall mean {summary['mean']:.4f}  "
           f"std of mean {summary['std_of_mean']:.4f}  "
           f"mean of std {summary['mean_of_std']:.4f}  "
+          f"failed splits {summary['failed_splits']}  "
           f"({elapsed:.1f}s)")
     return 0
 
@@ -191,6 +187,7 @@ def build_adversarial_collection(model: Model, space, agent_cfg: AgentConfig,
                 ep = Episode(ds, l=max(2, n_rows // 2))
                 loss = _forward_episode_losses(model, [ep], ep.l, None)
                 tape.backward(loss)
+                tape.clear()
             ascend_or_reset(agent)
             T.zero_grads(model.parameters())
         except RuntimeError:

@@ -7,10 +7,21 @@ are handled by batch aggregation: class probabilities mix in proportion to
 batch size, regression batches combine through the inverse-variance
 estimator. Wide datasets get a uniform feature subsample shared between
 train and test, and predictions can be averaged over feature permutations.
+
+Test rows attend only to training rows, so the pass runs in two phases that
+together equal the joint masked pass: the training context is encoded once
+(`Model.encode_context`), then test rows are decoded against it QUERY_CHUNK
+rows at a time, so attention memory is O(QUERY_CHUNK x n_train). The last
+encoded context stays in a one-entry cache keyed by the model checksum, the
+model config, the default dtype and a blake2b digest of the normalized
+training block and its label values with their shapes and dtypes. It holds
+n_blocks x 2 x n_train x d_model floats of keys and values (plus the final
+training states and the two mixture key projections, 3 x n_train x d_model).
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -19,13 +30,14 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .model import Model, Prediction, SIGMA_FLOOR
+from .model import EncodedContext, Model, Prediction, SIGMA_FLOOR
 from .prior import CLASSIFICATION, REGRESSION, Dataset
 
 log = logging.getLogger(__name__)
 
 FEATURE_BUDGET = 100
 BATCH_CAP = 3000
+QUERY_CHUNK = 256
 
 
 class ZeroUpdateViolation(RuntimeError):
@@ -106,17 +118,34 @@ def _maybe_subsample(train: Dataset, test_x: np.ndarray,
     if train.d <= budget:
         return train, test_x, test_missing
     _, idx = subsample_features(train.X.data, budget, rng)
-    sub = Dataset(X=Tensor(train.X.data[:, idx]), y_values=train.y_values,
-                  y_labels=train.y_labels, cat_mask=train.cat_mask[idx],
-                  task=train.task, n_classes=train.n_classes,
-                  missing_mask=None if train.missing_mask is None
-                  else train.missing_mask[:, idx])
-    return (sub, test_x[:, idx],
+    return (_take_columns(train, idx), test_x[:, idx],
             None if test_missing is None else test_missing[:, idx])
 
 
+_encoded: tuple = (None, None)  # (key, EncodedContext) of the last encode
+
+
+def _encode(model: Model, checksum: int, train_xn: np.ndarray,
+            y_train: np.ndarray) -> EncodedContext:
+    """The encoded training context, from the one-entry cache on a key hit."""
+    global _encoded
+    digest = hashlib.blake2b(digest_size=32)
+    for a in (train_xn, y_train):
+        digest.update(f"{a.shape}{a.dtype.str}".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    key = (checksum, model.cfg, np.dtype(T.default_dtype()).str, digest.digest())
+    if _encoded[0] != key:
+        _encoded = (None, None)  # free the old entry before encoding
+        _encoded = (key, model.encode_context(Tensor(train_xn[None]),
+                                              Tensor(y_train[None])))
+    return _encoded[1]
+
+
 def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
-                        test_missing: Optional[np.ndarray]) -> Prediction:
+                        test_missing: Optional[np.ndarray], checksum: int
+                        ) -> Prediction:
+    """Encode the training context (or take it from the cache; checksum is
+    the caller's model checksum), then decode the test rows in chunks."""
     if train.n < 1:
         raise ValueError("prediction needs at least one training row")
     if test_x.shape[1] != train.d:
@@ -124,33 +153,35 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
                          f"training rows have {train.d}")
     train_xn, test_xn = normalize_train_test(
         train.X.data, test_x, train.missing_mask, test_missing)
-    n_train, n_test = train_xn.shape[0], test_xn.shape[0]
-    x = Tensor(np.concatenate([train_xn, test_xn])[None])
 
     if train.task == CLASSIFICATION:
-        classes = np.unique(train.y_labels)
-        lookup = {c: i for i, c in enumerate(classes)}
-        train01 = np.array([lookup[c] for c in train.y_labels])
-        y_values = np.concatenate([train01.astype(np.float64), np.zeros(n_test)])
-        probs = model.forward_classification(
-            x, Tensor(y_values[None]), n_train, train01[None], classes.size)
-        return Prediction(task=CLASSIFICATION, probs=probs.data[0],
-                          classes=classes)
+        classes, train01 = np.unique(train.y_labels, return_inverse=True)
+        y_train = train01.astype(np.float64)
+    else:
+        y_raw = train.y_values.data
+        y_mu, y_sd = y_raw.mean(), y_raw.std()
+        scale = y_sd if y_sd > 0 else 1.0
+        y_train = np.clip((y_raw - y_mu) / scale, -4.0, 4.0)
+    context = _encode(model, checksum, train_xn, y_train)
 
-    y_raw = train.y_values.data
-    y_mu, y_sd = y_raw.mean(), y_raw.std()
-    scale = y_sd if y_sd > 0 else 1.0
-    y_norm = np.clip((y_raw - y_mu) / scale, -4.0, 4.0)
-    y_values = np.concatenate([y_norm, np.zeros(n_test)])
-    mu, sigma = model.forward_regression(x, Tensor(y_values[None]), n_train)
-    return Prediction(task=REGRESSION,
-                      mu=mu.data[0] * scale + y_mu,
-                      sigma=sigma.data[0] * scale)
+    def decoded(head) -> list:  # head outputs, QUERY_CHUNK test rows at a time
+        return [head(model.decode(Tensor(test_xn[None, s:s + QUERY_CHUNK]), context))
+                for s in range(0, max(test_xn.shape[0], 1), QUERY_CHUNK)]
+
+    if train.task == CLASSIFICATION:
+        probs = decoded(lambda h: model.class_head(
+            h, 0, train01[None], classes.size, keys=context.mixture_keys).data[0])
+        return Prediction(task=CLASSIFICATION, probs=np.concatenate(probs),
+                          classes=classes)
+    parts = decoded(lambda h: [t.data[0] for t in model.gaussian_head(h, 0)])
+    mu, sigma = (np.concatenate(p) for p in zip(*parts))
+    return Prediction(task=REGRESSION, mu=mu * scale + y_mu, sigma=sigma * scale)
 
 
 def _checked(model: Model, fn):
+    """Run fn(checksum) and refuse if the parameters moved meanwhile."""
     before = model.checksum()
-    out = fn()
+    out = fn(before)
     if model.checksum() != before:
         raise ZeroUpdateViolation("model parameters changed during prediction")
     return out
@@ -165,8 +196,15 @@ def predict(model: Model, train: Dataset, test_x: np.ndarray,
     splits."""
     train, test_x, test_missing = _maybe_subsample(
         train, test_x, test_missing, feature_budget, feature_rng)
-    return _checked(model, lambda: _forward_prediction(model, train, test_x,
-                                                       test_missing))
+    return _checked(model, lambda checksum: _forward_prediction(
+        model, train, test_x, test_missing, checksum))
+
+
+def _take_columns(ds: Dataset, cols: np.ndarray) -> Dataset:
+    return Dataset(
+        X=Tensor(ds.X.data[:, cols]), y_values=ds.y_values, y_labels=ds.y_labels,
+        cat_mask=ds.cat_mask[cols], task=ds.task, n_classes=ds.n_classes,
+        missing_mask=None if ds.missing_mask is None else ds.missing_mask[:, cols])
 
 
 def _take_rows(ds: Dataset, rows: np.ndarray) -> Dataset:
@@ -184,14 +222,14 @@ def aggregate_classification(model: Model, train: Dataset, test_x: np.ndarray,
                              ) -> Prediction:
     """Mix per-batch class distributions with weights proportional to batch
     size. A single-batch plan reduces to plain prediction."""
-    def run():
+    def run(checksum):
         p = plan or BatchPlan.build(train.n)
         classes = np.unique(train.y_labels)
         lookup = {c: i for i, c in enumerate(classes)}
         mixed = np.zeros((test_x.shape[0], classes.size))
         for (s, e), w in zip(p.ranges, p.weights):
             part = _forward_prediction(model, _take_rows(train, p.order[s:e]),
-                                       test_x, test_missing)
+                                       test_x, test_missing, checksum)
             for j, c in enumerate(part.classes):
                 mixed[:, lookup[c]] += w * part.probs[:, j]
         return Prediction(task=CLASSIFICATION, probs=mixed, classes=classes)
@@ -204,12 +242,12 @@ def aggregate_regression(model: Model, train: Dataset, test_x: np.ndarray,
                          test_missing: Optional[np.ndarray] = None
                          ) -> np.ndarray:
     """Inverse-variance point estimate across batches."""
-    def run():
+    def run(checksum):
         p = plan or BatchPlan.build(train.n)
         mus, sigmas, floors = [], [], []
         for s, e in p.ranges:
             sub = _take_rows(train, p.order[s:e])
-            part = _forward_prediction(model, sub, test_x, test_missing)
+            part = _forward_prediction(model, sub, test_x, test_missing, checksum)
             y_sd = sub.y_values.data.std()
             floors.append(SIGMA_FLOOR * (y_sd if y_sd > 0 else 1.0))
             mus.append(part.mu)
@@ -236,22 +274,14 @@ def permutation_ensemble(model: Model, train: Dataset, test_x: np.ndarray,
     if k < 1:
         raise ValueError("ensemble needs at least one member")
 
-    def permuted(ds: Dataset, cols: np.ndarray) -> Dataset:
-        return Dataset(
-            X=Tensor(ds.X.data[:, cols]), y_values=ds.y_values,
-            y_labels=ds.y_labels, cat_mask=ds.cat_mask[cols], task=ds.task,
-            n_classes=ds.n_classes,
-            missing_mask=None if ds.missing_mask is None
-            else ds.missing_mask[:, cols])
-
-    def run():
+    def run(checksum):
         d = train.d
-        members = [_forward_prediction(model, train, test_x, test_missing)]
+        members = [_forward_prediction(model, train, test_x, test_missing, checksum)]
         for _ in range(k - 1):
             cols = rng.permutation(d)
             members.append(_forward_prediction(
-                model, permuted(train, cols), test_x[:, cols],
-                None if test_missing is None else test_missing[:, cols]))
+                model, _take_columns(train, cols), test_x[:, cols],
+                None if test_missing is None else test_missing[:, cols], checksum))
         if train.task == CLASSIFICATION:
             stackp = np.stack([m.probs for m in members])
             return Prediction(task=CLASSIFICATION, probs=stackp.mean(axis=0),

@@ -142,11 +142,17 @@ def rank_and_wins(scores: np.ndarray, algorithms: list[str],
 
 
 def score_summary(matrix: np.ndarray) -> dict[str, float]:
-    """Both deviation styles over a (datasets x splits) score matrix."""
+    """Both deviation styles over a (datasets x splits) score matrix. NaN
+    cells are failed splits: they enter no figure and are counted."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    per_split_mean = matrix.mean(axis=0)
+    scored = ~np.isnan(matrix)
+    if not scored.any():
+        raise ValueError("no split was scored")
+    per_split_mean = np.nanmean(matrix[:, scored.any(axis=0)], axis=0)
+    per_dataset_std = np.nanstd(matrix[scored.any(axis=1)], axis=1)
     return {
-        "mean": float(matrix.mean()),
+        "mean": float(matrix[scored].mean()),
         "std_of_mean": float(per_split_mean.std()),
-        "mean_of_std": float(matrix.std(axis=1).mean()),
+        "mean_of_std": float(per_dataset_std.mean()),
+        "failed_splits": int((~scored).sum()),
     }

@@ -91,6 +91,21 @@ class Prediction:
     member_variance: Optional[float] = None  # set by ensembling
 
 
+@dataclass
+class EncodedContext:
+    """What query rows read from a training context run through the blocks
+    once: each block's head-split keys and values of its ln1 output, the
+    final-LN training states, and the mixture head's key projections."""
+
+    kv: dict[str, tuple[Tensor, Tensor]]
+    states: Tensor
+    mixture_keys: dict[str, Tensor]
+
+    @property
+    def l(self) -> int:
+        return self.states.shape[1]
+
+
 class Model:
     """Parameter registry plus the forward passes."""
 
@@ -152,33 +167,40 @@ class Model:
 
     # -- embedding --------------------------------------------------------
 
-    def _attention(self, x: Tensor, keys: Tensor, prefix: str) -> Tensor:
-        """Multi-head attention of every token in x over the given key rows."""
+    def _attention(self, h: Tensor, key_count: Optional[int], prefix: str,
+                   kv: Optional[dict] = None) -> Tensor:
+        """Multi-head attention of every row of h over the first key_count rows
+        of h (all rows when None), projected after the queries. kv caches the
+        head-split keys and values per block: an entry present is attended
+        to instead, a missing one is stored."""
         cfg = self.cfg
         dh = cfg.d_model // cfg.n_heads
         p = self.params
-        B, n = x.shape[0], x.shape[1]
-        m = keys.shape[1]
+        B, n = h.shape[0], h.shape[1]
 
-        def split(t, length):
-            t = T.reshape(t, (B, length, cfg.n_heads, dh))
+        def split(t):
+            t = T.reshape(t, (B, t.shape[1], cfg.n_heads, dh))
             return T.permute(t, (0, 2, 1, 3))
 
-        q = split(T.matmul(x, p[f"{prefix}/attn/wq"]), n)
-        k = split(T.matmul(keys, p[f"{prefix}/attn/wk"]), m)
-        v = split(T.matmul(keys, p[f"{prefix}/attn/wv"]), m)
+        cached = None if kv is None else kv.get(prefix)
+        keys = h if key_count is None or cached is not None else h[:, :key_count]
+        q = split(T.matmul(h, p[f"{prefix}/attn/wq"]))
+        k, v = cached or (split(T.matmul(keys, p[f"{prefix}/attn/wk"])),
+                          split(T.matmul(keys, p[f"{prefix}/attn/wv"])))
+        if kv is not None:
+            kv[prefix] = (k, v)
         scores = T.matmul(q, T.swap_last(k)) * (1.0 / np.sqrt(dh))
         ctx = T.matmul(T.softmax(scores, axis=-1), v)
         ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B, n, cfg.d_model))
         return T.matmul(ctx, p[f"{prefix}/attn/wo"])
 
-    def _block(self, x: Tensor, key_count: Optional[int], prefix: str) -> Tensor:
-        """Pre-norm transformer block; keys restricted to the first key_count
-        rows when given (test masking), full self-attention otherwise."""
+    def _block(self, x: Tensor, key_count: Optional[int], prefix: str,
+               kv: Optional[dict] = None) -> Tensor:
+        """Pre-norm transformer block; attention keys are the first key_count
+        rows (test masking), all rows when None, or the block's kv entry."""
         p = self.params
         h = T.layer_norm(x, p[f"{prefix}/ln1/gain"], p[f"{prefix}/ln1/bias"])
-        keys = h if key_count is None else h[:, :key_count]
-        x = T.add(x, self._attention(h, keys, prefix))
+        x = T.add(x, self._attention(h, key_count, prefix, kv))
         h = T.layer_norm(x, p[f"{prefix}/ln2/gain"], p[f"{prefix}/ln2/bias"])
         h = T.matmul(T.gelu(T.add(T.matmul(h, p[f"{prefix}/ff/w1"]), p[f"{prefix}/ff/b1"])),
                      p[f"{prefix}/ff/w2"])
@@ -229,34 +251,59 @@ class Model:
 
     # -- trunk and heads --------------------------------------------------
 
-    def transformer(self, tokens: Tensor, l: int) -> Tensor:
-        """Contextualize tokens; every token attends to the l training tokens only."""
+    def transformer(self, tokens: Tensor, l: int, kv: Optional[dict] = None
+                    ) -> Tensor:
+        """Contextualize tokens; every token attends to the l training tokens
+        only. kv caches their keys and values per block: an empty dict is
+        filled (tokens are the training tokens alone), a filled one is
+        attended to (tokens are query rows)."""
         if l < 1:
             raise ValueError("masked transformer needs a non-empty training partition")
         h = tokens
         for i in range(self.cfg.n_blocks):
-            h = self._block(h, l, f"blocks/{i}")
+            h = self._block(h, l, f"blocks/{i}", kv)
         return T.layer_norm(h, self.params["final_ln/gain"], self.params["final_ln/bias"])
 
+    def encode_context(self, x: Tensor, y_values: Tensor) -> EncodedContext:
+        """Run the label-embedded training rows (B, l, d) through the blocks
+        once, with full self-attention among them: the masked pass with no
+        test rows."""
+        l = x.shape[1]
+        kv: dict = {}
+        states = self.transformer(self.embed_episode(x, y_values, l), l, kv)
+        return EncodedContext(kv=kv, states=states, mixture_keys={
+            name: T.matmul(states, self.params[f"mixture/{name}"])
+            for name in ("weight_k", "gate_k")})
+
+    def decode(self, x: Tensor, context: EncodedContext) -> Tensor:
+        """Final-LN states of query rows x (B, m, d), embedded without labels,
+        attending only to the encoded training tokens."""
+        return self.transformer(self.embed_features(x), context.l, context.kv)
+
     def mixture_head(self, ctx: Tensor, l: int, train_labels: np.ndarray,
-                     n_classes: int, gate_rng: Optional[np.random.Generator] = None
-                     ) -> Tensor:
+                     n_classes: int, gate_rng: Optional[np.random.Generator] = None,
+                     keys: Optional[dict[str, Tensor]] = None) -> Tensor:
         """Class probabilities over the n_classes observed training labels.
 
-        train_labels is (B, l) with entries in 0..n_classes-1. With a generator
-        supplied, gates are sampled from the binary Concrete relaxation at the
-        configured temperature; otherwise gating is the deterministic sigmoid.
-        Rows whose gated mass underflows fall back to the ungated weights.
+        Query rows are ctx[:, l:]; keys projects the training states
+        ctx[:, :l] unless an encoded context's mixture_keys are given.
+        train_labels is (B, n_train) with entries in 0..n_classes-1. With a
+        generator supplied, gates are sampled from the binary Concrete
+        relaxation at the configured temperature; otherwise gating is the
+        deterministic sigmoid. Rows whose gated mass underflows fall back to
+        the ungated weights.
         """
         p = self.params
         dm = self.cfg.d_model
-        q_t, k_t = ctx[:, l:], ctx[:, :l]
+        q_t, k_t = ctx[:, l:], ctx[:, :l] if keys is None else None
+        key = keys.get if keys is not None else (  # projected after the queries
+            lambda name: T.matmul(k_t, p[f"mixture/{name}"]))
         scale = 1.0 / np.sqrt(dm)
         w_logits = T.matmul(T.matmul(q_t, p["mixture/weight_q"]),
-                            T.swap_last(T.matmul(k_t, p["mixture/weight_k"]))) * scale
+                            T.swap_last(key("weight_k"))) * scale
         probs = T.softmax(w_logits, axis=-1)
         g_logits = T.matmul(T.matmul(q_t, p["mixture/gate_q"]),
-                            T.swap_last(T.matmul(k_t, p["mixture/gate_k"]))) * scale
+                            T.swap_last(key("gate_k"))) * scale
         if gate_rng is None:
             gates = T.sigmoid(g_logits)
         else:
@@ -296,14 +343,20 @@ class Model:
 
     # -- full passes ------------------------------------------------------
 
+    def class_head(self, ctx: Tensor, l: int, train_labels: np.ndarray,
+                   n_classes: int, gate_rng: Optional[np.random.Generator] = None,
+                   keys: Optional[dict[str, Tensor]] = None) -> Tensor:
+        """The configured classification head over the query rows ctx[:, l:]."""
+        if self.cfg.head == "dense":
+            return self.dense_head(ctx, l, n_classes)
+        return self.mixture_head(ctx, l, train_labels, n_classes, gate_rng, keys)
+
     def forward_classification(self, x: Tensor, y_values: Tensor, l: int,
                                train_labels: np.ndarray, n_classes: int,
                                gate_rng: Optional[np.random.Generator] = None
                                ) -> Tensor:
         ctx = self.transformer(self.embed_episode(x, y_values, l), l)
-        if self.cfg.head == "dense":
-            return self.dense_head(ctx, l, n_classes)
-        return self.mixture_head(ctx, l, train_labels, n_classes, gate_rng)
+        return self.class_head(ctx, l, train_labels, n_classes, gate_rng)
 
     def forward_regression(self, x: Tensor, y_values: Tensor, l: int
                            ) -> tuple[Tensor, Tensor]:

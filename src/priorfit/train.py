@@ -271,6 +271,7 @@ def train_step(model: Model, pool: Optional[AgentPool], cfg: TrainConfig,
                 loss = T.mul(loss_sum, 1.0 / (m * k))
                 step_nll += float(loss.data)
                 tape.backward(loss)
+                tape.clear()
     except T.GradientNaN as err:
         skipped = True
         log.warning("step %d skipped: %s", step, err)

@@ -185,6 +185,41 @@ class TestEvaluateCommand:
         assert {r["dataset"] for r in per_ds} == {"ds0", "ds1"}
         assert all(len(r["scores"]) == 3 for r in per_ds)
 
+    def test_refused_split_counted_not_scored(self, run_dir, tmp_path, capsys,
+                                              monkeypatch):
+        _, _, out = run_dir
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        space = GeneratorHyperSpace(feature_count=(2, 2), hidden_width=(6, 8),
+                                    layer_count=(2, 2),
+                                    categorical_fraction=(0.0, 0.0),
+                                    classification_prob=0.0)
+        ds = generate_dataset(sample_generator(space, 60), 40, seed=0)
+        export_csv(ds, suite / "reg.csv")
+        score = cli._split_score
+        calls = []
+
+        def refuse_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("refused")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_split_score", refuse_second)
+        report_path = tmp_path / "report.ndjson"
+        rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                   "--suite", str(suite), "--splits", "3",
+                   "--output", str(report_path)])
+        assert rc == 0
+        assert "failed splits 1" in capsys.readouterr().out
+        lines = report_path.read_text().splitlines()
+        scores = json.loads(lines[0])["scores"]
+        summary = json.loads(lines[-1])["summary"]
+        assert np.isnan(scores[1]) and np.isfinite([scores[0], scores[2]]).all()
+        assert summary["failed_splits"] == 1
+        # mean squared errors of the scored splits only; no 0.5 stands in
+        assert summary["mean"] == pytest.approx((scores[0] + scores[2]) / 2)
+
     def test_empty_suite_fails(self, run_dir, tmp_path):
         _, _, out = run_dir
         empty = tmp_path / "empty"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -320,3 +322,121 @@ class TestPermutationEnsemble:
         with pytest.raises(ValueError):
             permutation_ensemble(MODEL, class_train(rng), np.zeros((1, 3)),
                                  0, np.random.default_rng(0))
+
+
+def joint_forward(model, train, test_x):
+    """The single masked pass over the concatenated train+test tokens, with
+    predict's normalization and label coding: the reference for predict."""
+    train_xn, test_xn = normalize_train_test(train.X.data, test_x)
+    n_train, n_test = train_xn.shape[0], test_xn.shape[0]
+    x = Tensor(np.concatenate([train_xn, test_xn])[None])
+    if train.task == CLASSIFICATION:
+        classes, train01 = np.unique(train.y_labels, return_inverse=True)
+        y = np.concatenate([train01.astype(np.float64), np.zeros(n_test)])
+        return model.forward_classification(x, Tensor(y[None]), n_train,
+                                            train01[None], classes.size).data[0]
+    y_raw = train.y_values.data
+    y_norm = np.clip((y_raw - y_raw.mean()) / y_raw.std(), -4.0, 4.0)
+    y = np.concatenate([y_norm, np.zeros(n_test)])
+    mu, sigma = model.forward_regression(x, Tensor(y[None]), n_train)
+    return np.stack([mu.data[0] * y_raw.std() + y_raw.mean(),
+                     sigma.data[0] * y_raw.std()])
+
+
+def predicted(model, train, test_x):
+    out = predict(model, train, test_x)
+    return out.probs if out.task == CLASSIFICATION else np.stack([out.mu, out.sigma])
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """An empty context cache, and a log of the context encodes that run."""
+    monkeypatch.setattr(infer, "_encoded", (None, None))
+    calls = []
+    encode = Model.encode_context
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "encode_context", counted)
+    return calls
+
+
+CHUNK = 4
+
+
+class TestCachedChunkedPredict:
+    """predict encodes the training context once and decodes test rows
+    against it in QUERY_CHUNK slices; float64 results must equal the joint
+    masked pass within 1e-12."""
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("n_test", [1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("variant", [{}, {"embed_mode": "patch"},
+                                         {"head": "dense", "n_heads": 4}])
+    def test_equals_joint_forward(self, monkeypatch, encodes, task, n_test, variant):
+        monkeypatch.setattr(infer, "QUERY_CHUNK", CHUNK)
+        base = dict(d_model=16, n_blocks=2, n_heads=2, d_ff=24, feature_width=2)
+        model = Model(ModelConfig(**{**base, **variant}), seed=20)
+        rng = np.random.default_rng(20 + n_test)
+        train = class_train(rng, n=15) if task == CLASSIFICATION else regr_train(rng, n=15)
+        test_x = rng.standard_normal((n_test, 3))
+        np.testing.assert_allclose(predicted(model, train, test_x),
+                                   joint_forward(model, train, test_x),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_warm_call_is_bit_identical_and_encodes_once(self, monkeypatch, encodes, task):
+        monkeypatch.setattr(infer, "QUERY_CHUNK", CHUNK)
+        rng = np.random.default_rng(21)
+        train = class_train(rng) if task == CLASSIFICATION else regr_train(rng)
+        test_x = rng.standard_normal((2 * CHUNK + 1, 3))
+        cold = predicted(MODEL, train, test_x)
+        warm = predicted(MODEL, train, test_x)
+        other = predicted(MODEL, train, test_x[:3])
+        assert len(encodes) == 1
+        np.testing.assert_array_equal(warm, cold)
+        np.testing.assert_allclose(other, joint_forward(MODEL, train, test_x[:3]),
+                                   rtol=0, atol=1e-12)
+
+    def test_context_cell_change_invalidates(self, encodes):
+        rng = np.random.default_rng(22)
+        train = class_train(rng)
+        test_x = rng.standard_normal((5, 3))
+        before = predicted(MODEL, train, test_x)
+        train.X.data[4, 1] += 0.5
+        after = predicted(MODEL, train, test_x)
+        assert len(encodes) == 2
+        assert not np.allclose(after, before)
+        np.testing.assert_allclose(after, joint_forward(MODEL, train, test_x),
+                                   rtol=0, atol=1e-12)
+
+    def test_parameter_change_invalidates(self, encodes):
+        model = Model(MODEL.cfg, seed=23)
+        rng = np.random.default_rng(23)
+        train = regr_train(rng)
+        test_x = rng.standard_normal((5, 3))
+        before = predicted(model, train, test_x)
+        model.params["blocks/0/attn/wv"].data[0, 0] += 0.5
+        after = predicted(model, train, test_x)
+        assert len(encodes) == 2
+        assert not np.allclose(after, before)
+        np.testing.assert_allclose(after, joint_forward(model, train, test_x),
+                                   rtol=0, atol=1e-12)
+
+    def test_config_change_with_equal_parameters_invalidates(self, encodes):
+        two = Model(MODEL.cfg, seed=24)
+        four = Model(dataclasses.replace(MODEL.cfg, n_heads=4), seed=0)
+        for name, t in two.params.items():
+            four.params[name].data = t.data.copy()
+        assert four.checksum() == two.checksum()
+        rng = np.random.default_rng(24)
+        train = class_train(rng)
+        test_x = rng.standard_normal((5, 3))
+        first = predicted(two, train, test_x)
+        second = predicted(four, train, test_x)
+        assert encodes == [two, four]
+        assert not np.allclose(first, second)
+        np.testing.assert_allclose(second, joint_forward(four, train, test_x),
+                                   rtol=0, atol=1e-12)

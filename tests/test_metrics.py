@@ -176,3 +176,15 @@ class TestScoreSummary:
         assert out["std_of_mean"] == pytest.approx(per_split.std())
         per_ds = matrix.std(axis=1)              # [0.1, 0.2]
         assert out["mean_of_std"] == pytest.approx(per_ds.mean())
+
+    def test_failed_splits_left_out_and_counted(self):
+        matrix = np.array([[0.9, np.nan], [0.5, 0.9]])
+        out = score_summary(matrix)
+        assert out["failed_splits"] == 1
+        assert out["mean"] == pytest.approx((0.9 + 0.5 + 0.9) / 3)
+        assert out["std_of_mean"] == pytest.approx(np.std([0.7, 0.9]))
+        assert out["mean_of_std"] == pytest.approx(0.2 / 2)
+
+    def test_nothing_scored_refused(self):
+        with pytest.raises(ValueError, match="no split"):
+            score_summary(np.full((2, 3), np.nan))

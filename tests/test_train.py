@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -209,6 +212,33 @@ class TestTrainStep:
         for name in params[0]:
             np.testing.assert_allclose(params[0][name], params[1][name],
                                        rtol=1e-6, atol=1e-12, err_msg=name)
+
+    def test_step_tapes_freed_without_cyclic_gc(self, monkeypatch):
+        # Tensor._producer <-> Tape._nodes is a reference cycle; each step
+        # must break it so its graph is freed without the cyclic collector
+        tapes = []
+
+        class RecordedTape(T.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(T, "Tape", RecordedTape)
+        model = Model(MODEL_CFG, seed=5)
+        cfg = small_train_cfg()
+        pool = AgentPool(cfg.datasets_per_step, SPACE, cfg.seed,
+                         AgentConfig(fraction=0.5))
+        adam = AdamState()
+        gc.collect()
+        gc.disable()
+        try:
+            for s in range(3):
+                assert not train_step(model, pool, cfg, SPACE, s, adam)["skipped"]
+            alive = [t for t in tapes if t() is not None]
+        finally:
+            gc.enable()
+        assert len(tapes) == 3
+        assert alive == []
 
 
 class TestPretrain:
