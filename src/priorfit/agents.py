@@ -96,10 +96,6 @@ class AgentPool:
                  agent_cfg: Optional[AgentConfig] = None):
         if m < 1:
             raise ValueError("pool needs at least one slot")
-        self.m = m
-        self.space = space
-        self.run_seed = run_seed
-        self.agent_cfg = agent_cfg
         n_adv = int(round(agent_cfg.fraction * m)) if agent_cfg else 0
         self.agents = [AgentState(agent_cfg, space, run_seed, slot)
                        for slot in range(n_adv)]

@@ -10,7 +10,6 @@ machine-parsable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -19,19 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .tensor import Tensor
-from .agents import AgentConfig, AgentState, ascend_or_reset
+from .agents import AgentConfig
 from .config import RunManifest, load_run_config
-from .data_io import ingest_csv, ingest_features_with_schema, TARGET
-from .diversity import prior_diversity_report
-from .infer import (BATCH_CAP, BatchPlan, _take_rows, aggregate_classification,
-                    aggregate_regression, permutation_ensemble, predict)
+from .data_io import ingest_csv, ingest_features_with_schema, read_table, TARGET
+from .diversity import ordinary_vs_adversarial
+from .infer import _take_rows, predict
 from .metrics import mse, rank_and_wins, roc_auc_ovo, score_summary
-from .model import Episode, Model, Prediction
-from .prior import CLASSIFICATION, Dataset, generate_dataset, sample_generator
+from .model import Model
+from .prior import CLASSIFICATION
 from .seeding import NS_EVAL, NS_MODEL_INIT, derive_rng, derive_seed
-from .train import _forward_episode_losses, pretrain
+from .train import pretrain
 
 log = logging.getLogger(__name__)
 
@@ -53,27 +49,11 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _predict_any(model, train_ds, test_x, test_missing, ensemble, seed):
-    if ensemble > 1:
-        return permutation_ensemble(model, train_ds, test_x, ensemble,
-                                    derive_rng(seed, NS_EVAL, 1), test_missing)
-    if train_ds.n > BATCH_CAP:
-        plan = BatchPlan.build(train_ds.n, BATCH_CAP, derive_rng(seed, NS_EVAL, 2))
-        if train_ds.task == CLASSIFICATION:
-            return aggregate_classification(model, train_ds, test_x, plan,
-                                            test_missing)
-        mu = aggregate_regression(model, train_ds, test_x, plan, test_missing)
-        return Prediction(task=train_ds.task, mu=mu, sigma=None)
-    return predict(model, train_ds, test_x, test_missing,
-                   feature_rng=derive_rng(seed, NS_EVAL, 3))
-
-
 def _cmd_predict(args) -> int:
     model, _, _ = Model.load(args.checkpoint)
     train_ds, schemas = ingest_csv(args.train, args.target)
     test_x, test_missing = ingest_features_with_schema(args.test, schemas)
-    pred = _predict_any(model, train_ds, test_x, test_missing,
-                        args.ensemble, args.seed)
+    pred = predict(model, train_ds, test_x, test_missing, args.ensemble, args.seed)
     out = Path(args.output) if args.output else None
     lines = []
     if pred.task == CLASSIFICATION:
@@ -113,7 +93,7 @@ def _split_score(model, ds, rng, seed) -> float:
     sub = _take_rows(ds, train_rows)
     test_x = ds.X.data[test_rows]
     test_missing = None if ds.missing_mask is None else ds.missing_mask[test_rows]
-    pred = _predict_any(model, sub, test_x, test_missing, ensemble=1, seed=seed)
+    pred = predict(model, sub, test_x, test_missing, seed=seed)
     if ds.task == CLASSIFICATION:
         return roc_auc_ovo(pred.probs, ds.y_labels[test_rows], classes=pred.classes)
     return mse(pred.mu, ds.y_values.data[test_rows])
@@ -129,8 +109,7 @@ def _cmd_evaluate(args) -> int:
     names = []
     t0 = time.time()
     for di, path in enumerate(suite):
-        header = path.read_text().splitlines()[0].split(",")
-        target = args.target or header[-1]
+        target = args.target or read_table(path)[0][-1]
         ds, _ = ingest_csv(path, target)
         scores = []
         for s in range(args.splits):
@@ -170,88 +149,20 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def build_adversarial_collection(model: Model, space, agent_cfg: AgentConfig,
-                                 run_seed: int, count: int, n_rows: int
-                                 ) -> list[Dataset]:
-    """Record the dataset an adversarial agent emits after each consecutive
-    backpropagation against the model."""
-    agent = AgentState(agent_cfg, space, run_seed, slot=0)
-    out: list[Dataset] = []
-    i = 0
-    while len(out) < count:
-        ep_seed = derive_seed(run_seed, NS_EVAL, 40, i)
-        i += 1
-        try:
-            with T.Tape() as tape:
-                ds = generate_dataset(agent.generator, n_rows, ep_seed, soft=True)
-                ep = Episode(ds, l=max(2, n_rows // 2))
-                loss = _forward_episode_losses(model, [ep], ep.l, None)
-                tape.backward(loss)
-                tape.clear()
-            ascend_or_reset(agent)
-            T.zero_grads(model.parameters())
-        except RuntimeError:
-            agent.reset(reason="degenerate")
-            continue
-        except T.GradientNaN:
-            T.zero_grads(model.parameters() + agent.parameters())
-            agent.reset(reason="nan-gradients")
-            continue
-        out.append(Dataset(X=Tensor(ds.X.data.copy()),
-                           y_values=Tensor(ds.y_values.data.copy()),
-                           y_labels=None if ds.y_labels is None else ds.y_labels.copy(),
-                           cat_mask=ds.cat_mask.copy(), task=ds.task,
-                           n_classes=ds.n_classes))
-        agent.maybe_reset()
-    return out
-
-
-def ordinary_collection(space, run_seed: int, namespace: int, count: int,
-                        n_rows: int) -> list[Dataset]:
-    out = []
-    i = 0
-    while len(out) < count:
-        seed = derive_seed(run_seed, namespace, i)
-        i += 1
-        try:
-            g = sample_generator(space, seed)
-            out.append(generate_dataset(g, n_rows, derive_seed(run_seed, namespace, i, 1)))
-        except RuntimeError:
-            continue
-    return out
-
-
 def _cmd_analyze_prior(args) -> int:
     cfg = load_run_config(args.config)
-    space = dataclasses.replace(cfg.space, feature_count=(2, 2))
     if args.checkpoint:
         model, _, _ = Model.load(args.checkpoint)
     else:
         model = Model(cfg.model, seed=derive_seed(cfg.train.seed, NS_MODEL_INIT))
-    agent_cfg = cfg.agent or AgentConfig()
-    seed = cfg.train.seed
-    n_rows = args.rows
-    ordinary_a = ordinary_collection(space, seed, 41, args.datasets, n_rows)
-    ordinary_b = ordinary_collection(space, seed, 42, args.datasets, n_rows)
-    adversarial = build_adversarial_collection(model, space, agent_cfg, seed,
-                                               args.datasets, n_rows)
-    baseline = prior_diversity_report(ordinary_a, ordinary_b)
-    shifted = prior_diversity_report(ordinary_a, adversarial)
+    summary, grids = ordinary_vs_adversarial(
+        model, cfg.space, cfg.agent or AgentConfig(), cfg.train.seed,
+        args.datasets, args.rows)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "datasets_per_collection": args.datasets,
-        "rows_per_dataset": n_rows,
-        "kl_ordinary_vs_ordinary": baseline["kl_ab"],
-        "kl_ordinary_vs_adversarial": shifted["kl_ab"],
-        "pearson_ordinary": baseline["pearson_a"],
-        "pearson_adversarial": shifted["pearson_b"],
-    }
     (outdir / "diversity.json").write_text(json.dumps(summary, indent=2,
                                                       sort_keys=True) + "\n")
-    np.savez(outdir / "density_grids.npz",
-             ordinary_a=baseline["grid_a"], ordinary_b=baseline["grid_b"],
-             adversarial=shifted["grid_b"])
+    np.savez(outdir / "density_grids.npz", **grids)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -5,13 +5,25 @@ points through smoothed 2-d histogram densities on the shared post-
 normalization support. Predictor-response signal is summarized as the mean
 absolute Pearson correlation per dataset, reported mean +/- std across the
 collection.
+
+The two collections compared are drawn here: ordinary generators, and one
+adversarial agent recorded after each ascent against a model.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .prior import CLASSIFICATION, Dataset
+from . import tensor as T
+from .tensor import Tensor
+from .agents import AgentConfig, AgentState, ascend_or_reset
+from .model import Episode, Model
+from .prior import (CLASSIFICATION, Dataset, GeneratorHyperSpace,
+                    generate_dataset, sample_generator)
+from .seeding import NS_EVAL, derive_seed
+from .train import _forward_episode_losses
 
 GRID_BINS = 64
 GRID_EXTENT = 4.0
@@ -80,3 +92,80 @@ def prior_diversity_report(collection_a: list[Dataset],
         "grid_a": grid_a,
         "grid_b": grid_b,
     }
+
+
+def build_adversarial_collection(model: Model, space, agent_cfg: AgentConfig,
+                                 run_seed: int, count: int, n_rows: int
+                                 ) -> list[Dataset]:
+    """Record the dataset an adversarial agent emits after each consecutive
+    backpropagation against the model."""
+    agent = AgentState(agent_cfg, space, run_seed, slot=0)
+    out: list[Dataset] = []
+    i = 0
+    while len(out) < count:
+        ep_seed = derive_seed(run_seed, NS_EVAL, 40, i)
+        i += 1
+        try:
+            with T.Tape() as tape:
+                ds = generate_dataset(agent.generator, n_rows, ep_seed, soft=True)
+                ep = Episode(ds, l=max(2, n_rows // 2))
+                loss = _forward_episode_losses(model, [ep], ep.l, None)
+                tape.backward(loss)
+                tape.clear()
+            ascend_or_reset(agent)
+            T.zero_grads(model.parameters())
+        except RuntimeError:
+            agent.reset(reason="degenerate")
+            continue
+        except T.GradientNaN:
+            T.zero_grads(model.parameters() + agent.parameters())
+            agent.reset(reason="nan-gradients")
+            continue
+        out.append(Dataset(X=Tensor(ds.X.data.copy()),
+                           y_values=Tensor(ds.y_values.data.copy()),
+                           y_labels=None if ds.y_labels is None else ds.y_labels.copy(),
+                           cat_mask=ds.cat_mask.copy(), task=ds.task,
+                           n_classes=ds.n_classes))
+        agent.maybe_reset()
+    return out
+
+
+def ordinary_collection(space, run_seed: int, namespace: int, count: int,
+                        n_rows: int) -> list[Dataset]:
+    out = []
+    i = 0
+    while len(out) < count:
+        seed = derive_seed(run_seed, namespace, i)
+        i += 1
+        try:
+            g = sample_generator(space, seed)
+            out.append(generate_dataset(g, n_rows, derive_seed(run_seed, namespace, i, 1)))
+        except RuntimeError:
+            continue
+    return out
+
+
+def ordinary_vs_adversarial(model: Model, space: GeneratorHyperSpace,
+                            agent_cfg: AgentConfig, run_seed: int, count: int,
+                            n_rows: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """Two ordinary collections and one adversarial collection of count
+    two-feature datasets each: the summary of KL and correlation stats, and
+    the three density grids."""
+    space = dataclasses.replace(space, feature_count=(2, 2))
+    ordinary_a = ordinary_collection(space, run_seed, 41, count, n_rows)
+    ordinary_b = ordinary_collection(space, run_seed, 42, count, n_rows)
+    adversarial = build_adversarial_collection(model, space, agent_cfg, run_seed,
+                                               count, n_rows)
+    baseline = prior_diversity_report(ordinary_a, ordinary_b)
+    shifted = prior_diversity_report(ordinary_a, adversarial)
+    summary = {
+        "datasets_per_collection": count,
+        "rows_per_dataset": n_rows,
+        "kl_ordinary_vs_ordinary": baseline["kl_ab"],
+        "kl_ordinary_vs_adversarial": shifted["kl_ab"],
+        "pearson_ordinary": baseline["pearson_a"],
+        "pearson_adversarial": shifted["pearson_b"],
+    }
+    grids = {"ordinary_a": baseline["grid_a"], "ordinary_b": baseline["grid_b"],
+             "adversarial": shifted["grid_b"]}
+    return summary, grids

@@ -1,12 +1,19 @@
 """Zero-shot prediction on real datasets.
 
-A prediction is one forward pass with no parameter update (enforced with a
-checksum around every entry point). Test rows are normalized with statistics
-from the training rows only, so nothing leaks backward. Large training sets
-are handled by batch aggregation: class probabilities mix in proportion to
-batch size, regression batches combine through the inverse-variance
-estimator. Wide datasets get a uniform feature subsample shared between
-train and test, and predictions can be averaged over feature permutations.
+A prediction is one forward pass per training batch and ensemble member,
+with no parameter update (enforced with a checksum around `predict`, the one
+entry point). Test rows are normalized with statistics from the training
+rows only, so nothing leaks backward. `predict` composes, in this order:
+
+1. features above FEATURE_BUDGET are uniformly subsampled, the same columns
+   on both splits;
+2. the training rows are split into contiguous batches of at most BATCH_CAP
+   over a seeded shuffle (one batch keeps the rows as given);
+3. each of `ensemble` members predicts every batch under its own feature
+   permutation (the first member keeps the identity order);
+4. a member's batches combine: class probabilities mix in proportion to
+   batch size, Gaussian batches through the inverse-variance estimator;
+5. the members combine: class probabilities average, Gaussians moment-match.
 
 Test rows attend only to training rows, so the pass runs in two phases that
 together equal the joint masked pass: the training context is encoded once
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +40,7 @@ from . import tensor as T
 from .tensor import Tensor
 from .model import EncodedContext, Model, Prediction, SIGMA_FLOOR
 from .prior import CLASSIFICATION, REGRESSION, Dataset
+from .seeding import NS_EVAL, derive_rng
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +56,8 @@ class ZeroUpdateViolation(RuntimeError):
 @dataclass
 class BatchPlan:
     """Contiguous batches over a seeded shuffle of the training rows, with
-    weights proportional to batch size."""
+    weights proportional to batch size. A single batch keeps the row order
+    and draws nothing from rng."""
 
     order: np.ndarray
     ranges: list[tuple[int, int]]
@@ -58,7 +68,8 @@ class BatchPlan:
               rng: Optional[np.random.Generator] = None) -> "BatchPlan":
         if n_train < 1:
             raise ValueError("cannot plan batches over zero training rows")
-        order = np.arange(n_train) if rng is None else rng.permutation(n_train)
+        shuffle = rng is not None and n_train > cap
+        order = rng.permutation(n_train) if shuffle else np.arange(n_train)
         ranges = [(s, min(s + cap, n_train)) for s in range(0, n_train, cap)]
         sizes = np.array([e - s for s, e in ranges], dtype=np.float64)
         return cls(order=order, ranges=ranges, weights=sizes / sizes.sum())
@@ -85,7 +96,8 @@ def _column_stats(x: np.ndarray, missing: Optional[np.ndarray]):
         sd = x.std(axis=0)
         return mu, sd
     masked = np.where(missing, np.nan, x)
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():  # a column with no observed cell gives 0, 0
+        warnings.simplefilter("ignore", RuntimeWarning)
         mu = np.nanmean(masked, axis=0)
         sd = np.nanstd(masked, axis=0)
     return np.nan_to_num(mu), np.nan_to_num(sd)
@@ -112,16 +124,6 @@ def normalize_train_test(train_x: np.ndarray, test_x: np.ndarray,
             _apply_stats(test_x, test_missing, mu, sd))
 
 
-def _maybe_subsample(train: Dataset, test_x: np.ndarray,
-                     test_missing: Optional[np.ndarray], budget: int,
-                     rng: Optional[np.random.Generator]):
-    if train.d <= budget:
-        return train, test_x, test_missing
-    _, idx = subsample_features(train.X.data, budget, rng)
-    return (_take_columns(train, idx), test_x[:, idx],
-            None if test_missing is None else test_missing[:, idx])
-
-
 _encoded: tuple = (None, None)  # (key, EncodedContext) of the last encode
 
 
@@ -146,11 +148,6 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
                         ) -> Prediction:
     """Encode the training context (or take it from the cache; checksum is
     the caller's model checksum), then decode the test rows in chunks."""
-    if train.n < 1:
-        raise ValueError("prediction needs at least one training row")
-    if test_x.shape[1] != train.d:
-        raise ValueError(f"test rows have {test_x.shape[1]} features, "
-                         f"training rows have {train.d}")
     train_xn, test_xn = normalize_train_test(
         train.X.data, test_x, train.missing_mask, test_missing)
 
@@ -187,19 +184,6 @@ def _checked(model: Model, fn):
     return out
 
 
-def predict(model: Model, train: Dataset, test_x: np.ndarray,
-            test_missing: Optional[np.ndarray] = None,
-            feature_budget: int = FEATURE_BUDGET,
-            feature_rng: Optional[np.random.Generator] = None) -> Prediction:
-    """Single forward pass over the full training context. Feature counts
-    above the budget are uniformly subsampled, the same columns on both
-    splits."""
-    train, test_x, test_missing = _maybe_subsample(
-        train, test_x, test_missing, feature_budget, feature_rng)
-    return _checked(model, lambda checksum: _forward_prediction(
-        model, train, test_x, test_missing, checksum))
-
-
 def _take_columns(ds: Dataset, cols: np.ndarray) -> Dataset:
     return Dataset(
         X=Tensor(ds.X.data[:, cols]), y_values=ds.y_values, y_labels=ds.y_labels,
@@ -216,83 +200,92 @@ def _take_rows(ds: Dataset, rows: np.ndarray) -> Dataset:
         missing_mask=None if ds.missing_mask is None else ds.missing_mask[rows])
 
 
-def aggregate_classification(model: Model, train: Dataset, test_x: np.ndarray,
-                             plan: Optional[BatchPlan] = None,
-                             test_missing: Optional[np.ndarray] = None
-                             ) -> Prediction:
-    """Mix per-batch class distributions with weights proportional to batch
-    size. A single-batch plan reduces to plain prediction."""
-    def run(checksum):
-        p = plan or BatchPlan.build(train.n)
-        classes = np.unique(train.y_labels)
-        lookup = {c: i for i, c in enumerate(classes)}
-        mixed = np.zeros((test_x.shape[0], classes.size))
-        for (s, e), w in zip(p.ranges, p.weights):
-            part = _forward_prediction(model, _take_rows(train, p.order[s:e]),
-                                       test_x, test_missing, checksum)
-            for j, c in enumerate(part.classes):
-                mixed[:, lookup[c]] += w * part.probs[:, j]
+def _take_test_columns(x: np.ndarray, missing: Optional[np.ndarray],
+                       cols: np.ndarray):
+    return x[:, cols], None if missing is None else missing[:, cols]
+
+
+def _combine_batches(parts: list[Prediction], batches: list[Dataset],
+                     weights: np.ndarray) -> Prediction:
+    """One member's prediction from its per-batch predictions: class
+    distributions mix by batch weight; Gaussians combine by inverse variance,
+    sigma = (sum of sigma^-2)^-1/2."""
+    if len(parts) == 1:
+        return parts[0]
+    if parts[0].task == CLASSIFICATION:
+        classes = np.unique(np.concatenate([p.classes for p in parts]))
+        mixed = np.zeros((parts[0].probs.shape[0], classes.size))
+        for part, w in zip(parts, weights):
+            mixed[:, np.searchsorted(classes, part.classes)] += w * part.probs
         return Prediction(task=CLASSIFICATION, probs=mixed, classes=classes)
-
-    return _checked(model, run)
-
-
-def aggregate_regression(model: Model, train: Dataset, test_x: np.ndarray,
-                         plan: Optional[BatchPlan] = None,
-                         test_missing: Optional[np.ndarray] = None
-                         ) -> np.ndarray:
-    """Inverse-variance point estimate across batches."""
-    def run(checksum):
-        p = plan or BatchPlan.build(train.n)
-        mus, sigmas, floors = [], [], []
-        for s, e in p.ranges:
-            sub = _take_rows(train, p.order[s:e])
-            part = _forward_prediction(model, sub, test_x, test_missing, checksum)
-            y_sd = sub.y_values.data.std()
-            floors.append(SIGMA_FLOOR * (y_sd if y_sd > 0 else 1.0))
-            mus.append(part.mu)
-            sigmas.append(part.sigma)
-        mu = np.stack(mus)
-        sigma = np.stack(sigmas)
-        inv_var = 1.0 / sigma ** 2
-        weights = inv_var / inv_var.sum(axis=0)
-        at_floor = sigma <= np.asarray(floors)[:, None] * (1 + 1e-9)
-        floor_weight = np.where(at_floor, weights, 0.0).sum(axis=0)
-        if np.any(floor_weight > 0.99):
-            log.warning("inverse-variance aggregation dominated by floored "
-                        "sigmas on %d test rows", int((floor_weight > 0.99).sum()))
-        return (weights * mu).sum(axis=0)
-
-    return _checked(model, run)
+    mu = np.stack([p.mu for p in parts])
+    sigma = np.stack([p.sigma for p in parts])
+    inv_var = 1.0 / sigma ** 2
+    share = inv_var / inv_var.sum(axis=0)
+    floors = [SIGMA_FLOOR * (sd if sd > 0 else 1.0)
+              for sd in (b.y_values.data.std() for b in batches)]
+    at_floor = sigma <= np.asarray(floors)[:, None] * (1 + 1e-9)
+    floor_share = np.where(at_floor, share, 0.0).sum(axis=0)
+    if np.any(floor_share > 0.99):
+        log.warning("inverse-variance aggregation dominated by floored "
+                    "sigmas on %d test rows", int((floor_share > 0.99).sum()))
+    return Prediction(task=REGRESSION, mu=(share * mu).sum(axis=0),
+                      sigma=1.0 / np.sqrt(inv_var.sum(axis=0)))
 
 
-def permutation_ensemble(model: Model, train: Dataset, test_x: np.ndarray,
-                         k: int, rng: np.random.Generator,
-                         test_missing: Optional[np.ndarray] = None) -> Prediction:
-    """Average predictions over k feature-column permutations (the first
-    member is the identity). Gaussian members combine by moment matching."""
-    if k < 1:
+def _combine_members(members: list[Prediction]) -> Prediction:
+    """Average the ensemble members; Gaussian members combine by moment
+    matching."""
+    if len(members) == 1:
+        return members[0]
+    if members[0].task == CLASSIFICATION:
+        stackp = np.stack([m.probs for m in members])
+        return Prediction(task=CLASSIFICATION, probs=stackp.mean(axis=0),
+                          classes=members[0].classes,
+                          member_variance=float(stackp.var(axis=0).mean()))
+    mus = np.stack([m.mu for m in members])
+    sigmas = np.stack([m.sigma for m in members])
+    mu = mus.mean(axis=0)
+    second = (sigmas ** 2 + mus ** 2).mean(axis=0)
+    return Prediction(task=REGRESSION, mu=mu,
+                      sigma=np.sqrt(np.maximum(second - mu ** 2, SIGMA_FLOOR ** 2)),
+                      member_variance=float(mus.var(axis=0).mean()))
+
+
+def predict(model: Model, train: Dataset, test_x: np.ndarray,
+            test_missing: Optional[np.ndarray] = None, ensemble: int = 1,
+            seed: int = 0) -> Prediction:
+    """Zero-shot prediction of the test rows from the training rows.
+
+    Features above FEATURE_BUDGET are subsampled (the same columns on both
+    splits), the training rows are split into batches of at most BATCH_CAP,
+    and each of `ensemble` members predicts every batch under its own column
+    order (the first member keeps the identity). Each member's batches are
+    combined, then the members. All draws derive from `seed`."""
+    if ensemble < 1:
         raise ValueError("ensemble needs at least one member")
+    if test_x.shape[1] != train.d:
+        raise ValueError(f"test rows have {test_x.shape[1]} features, "
+                         f"training rows have {train.d}")
+    if train.d > FEATURE_BUDGET:
+        _, idx = subsample_features(train.X.data, FEATURE_BUDGET,
+                                    derive_rng(seed, NS_EVAL, 3))
+        train = _take_columns(train, idx)
+        test_x, test_missing = _take_test_columns(test_x, test_missing, idx)
+    plan = BatchPlan.build(train.n, BATCH_CAP, derive_rng(seed, NS_EVAL, 2))
+    batches = [train] if len(plan.ranges) == 1 else [
+        _take_rows(train, plan.order[s:e]) for s, e in plan.ranges]
+    permutations = derive_rng(seed, NS_EVAL, 1)
+    orders = [None] + [permutations.permutation(train.d) for _ in range(ensemble - 1)]
 
-    def run(checksum):
-        d = train.d
-        members = [_forward_prediction(model, train, test_x, test_missing, checksum)]
-        for _ in range(k - 1):
-            cols = rng.permutation(d)
-            members.append(_forward_prediction(
-                model, _take_columns(train, cols), test_x[:, cols],
-                None if test_missing is None else test_missing[:, cols], checksum))
-        if train.task == CLASSIFICATION:
-            stackp = np.stack([m.probs for m in members])
-            return Prediction(task=CLASSIFICATION, probs=stackp.mean(axis=0),
-                              classes=members[0].classes,
-                              member_variance=float(stackp.var(axis=0).mean()))
-        mus = np.stack([m.mu for m in members])
-        sigmas = np.stack([m.sigma for m in members])
-        mu = mus.mean(axis=0)
-        second = (sigmas ** 2 + mus ** 2).mean(axis=0)
-        return Prediction(task=REGRESSION, mu=mu,
-                          sigma=np.sqrt(np.maximum(second - mu ** 2, SIGMA_FLOOR ** 2)),
-                          member_variance=float(mus.var(axis=0).mean()))
+    def member(cols, checksum) -> Prediction:
+        parts, x, missing = batches, test_x, test_missing
+        if cols is not None:
+            parts = [_take_columns(b, cols) for b in batches]
+            x, missing = _take_test_columns(test_x, test_missing, cols)
+        return _combine_batches(
+            [_forward_prediction(model, b, x, missing, checksum) for b in parts],
+            batches, plan.weights)
 
-    return _checked(model, run)
+    return _checked(model, lambda checksum: _combine_members(
+        [member(cols, checksum) for cols in orders]))

@@ -167,10 +167,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def y(self) -> np.ndarray:
-        return self.y_labels if self.task == CLASSIFICATION else self.y_values.data
-
 
 _ACTIVATIONS = {"tanh": T.tanh, "relu": T.relu, "gelu": T.gelu}
 

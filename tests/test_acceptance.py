@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from priorfit import tensor as T
+from priorfit import infer, tensor as T
 from priorfit.tensor import Tensor
 from priorfit.agents import AgentConfig, AgentState
-from priorfit.cli import build_adversarial_collection, main, ordinary_collection
-from priorfit.diversity import histogram_density, kl_divergence
-from priorfit.infer import (BatchPlan, aggregate_classification,
-                            aggregate_regression, permutation_ensemble, predict)
+from priorfit.cli import main
+from priorfit.diversity import (build_adversarial_collection, histogram_density,
+                                kl_divergence, ordinary_collection)
+from priorfit.infer import predict
 from priorfit.metrics import roc_auc_ovo, rank_and_wins
 from priorfit.model import Episode, Model, ModelConfig, Prediction
 from priorfit.prior import (CLASSIFICATION, Dataset, GeneratorHyperSpace,
@@ -497,7 +497,6 @@ class TestCriterion8Diversity:
 
 class TestCriterion9Aggregation:
     def test_aggregation_correctness(self, monkeypatch):
-        from priorfit import infer as infer_mod
         rng = np.random.default_rng(9)
 
         # inverse-variance closed form
@@ -509,11 +508,10 @@ class TestCriterion9Aggregation:
         train = Dataset(X=Tensor(rng.standard_normal((4, 2))),
                         y_values=Tensor(rng.standard_normal(4)), y_labels=None,
                         cat_mask=np.zeros(2, dtype=bool), task="regression")
-        plan = BatchPlan(order=np.arange(4), ranges=[(0, 2), (2, 4)],
-                         weights=np.array([0.5, 0.5]))
         with monkeypatch.context() as m:
-            m.setattr(infer_mod, "_forward_prediction", lambda *a, **k: next(scripted))
-            hand = aggregate_regression(model, train, np.zeros((1, 2)), plan=plan)
+            m.setattr(infer, "BATCH_CAP", 2)  # two batches of two rows
+            m.setattr(infer, "_forward_prediction", lambda *a, **k: next(scripted))
+            hand = predict(model, train, np.zeros((1, 2))).mu
         hand_ok = np.allclose(hand, [1.0])
 
         scripted_eq = iter([
@@ -521,8 +519,9 @@ class TestCriterion9Aggregation:
             Prediction(task="regression", mu=np.array([6.0]), sigma=np.array([0.7])),
         ])
         with monkeypatch.context() as m:
-            m.setattr(infer_mod, "_forward_prediction", lambda *a, **k: next(scripted_eq))
-            equal_sigma = aggregate_regression(model, train, np.zeros((1, 2)), plan=plan)
+            m.setattr(infer, "BATCH_CAP", 2)
+            m.setattr(infer, "_forward_prediction", lambda *a, **k: next(scripted_eq))
+            equal_sigma = predict(model, train, np.zeros((1, 2))).mu
         mean_ok = np.allclose(equal_sigma, [4.0])
 
         # classification: valid mixture, single batch reduces to predict
@@ -532,11 +531,13 @@ class TestCriterion9Aggregation:
                          y_values=Tensor(labels.astype(float)), y_labels=labels,
                          cat_mask=np.zeros(2, dtype=bool), task=CLASSIFICATION)
         test_x = rng.standard_normal((5, 2))
-        agg = aggregate_classification(model, ctrain, test_x,
-                                       plan=BatchPlan.build(18, cap=7))
+        with monkeypatch.context() as m:
+            m.setattr(infer, "BATCH_CAP", 7)
+            agg = predict(model, ctrain, test_x)
         sums_ok = np.allclose(agg.probs.sum(axis=1), 1.0, atol=1e-6)
-        single = aggregate_classification(model, ctrain, test_x,
-                                          plan=BatchPlan.build(18))
+        with monkeypatch.context() as m:
+            m.setattr(infer, "BATCH_CAP", 18)
+            single = predict(model, ctrain, test_x)
         reduce_ok = np.array_equal(single.probs, predict(model, ctrain, test_x).probs)
         check(9, hand_ok and mean_ok and sums_ok and reduce_ok,
               "inverse-variance closed form (mu=(0,5), sigma=(1,2) -> 1.0; "
@@ -583,7 +584,7 @@ class TestCriterion10MetricOracles:
 
 
 class TestCriterion11ZeroUpdate:
-    def test_parameters_never_move(self, desk_run):
+    def test_parameters_never_move(self, desk_run, monkeypatch):
         rng = np.random.default_rng(11)
         model = desk_run["model"]
         before = model.checksum()
@@ -594,15 +595,17 @@ class TestCriterion11ZeroUpdate:
                         cat_mask=np.zeros(2, dtype=bool), task=CLASSIFICATION)
         test_x = rng.standard_normal((9, 2))
         predict(model, train, test_x)
-        aggregate_classification(model, train, test_x,
-                                 plan=BatchPlan.build(30, cap=10))
-        permutation_ensemble(model, train, test_x, 3, np.random.default_rng(0))
+        with monkeypatch.context() as m:
+            m.setattr(infer, "BATCH_CAP", 10)
+            predict(model, train, test_x)
+        predict(model, train, test_x, ensemble=3)
         rtrain = Dataset(X=Tensor(rng.standard_normal((25, 2))),
                          y_values=Tensor(rng.standard_normal(25)), y_labels=None,
                          cat_mask=np.zeros(2, dtype=bool), task="regression")
         predict(model, rtrain, test_x)
-        aggregate_regression(model, rtrain, test_x,
-                             plan=BatchPlan.build(25, cap=9))
+        with monkeypatch.context() as m:
+            m.setattr(infer, "BATCH_CAP", 9)
+            predict(model, rtrain, test_x)
         linear_auc(model, HELD_OUT_SEEDS[:5])
         check(11, model.checksum() == before,
               "parameter checksum unchanged across predict, aggregation, "

@@ -220,6 +220,26 @@ class TestEvaluateCommand:
         # mean squared errors of the scored splits only; no 0.5 stands in
         assert summary["mean"] == pytest.approx((scores[0] + scores[2]) / 2)
 
+    def test_quoted_header_default_target(self, run_dir, tmp_path):
+        _, _, out = run_dir
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        space = GeneratorHyperSpace(feature_count=(2, 2), hidden_width=(6, 8),
+                                    layer_count=(2, 2),
+                                    categorical_fraction=(0.0, 0.0),
+                                    classification_prob=0.0)
+        ds = generate_dataset(sample_generator(space, 61), 30, seed=0)
+        export_csv(ds, suite / "prices.csv", target_name="price, usd")
+        assert (suite / "prices.csv").read_text().splitlines()[0].endswith('"price, usd"')
+        report_path = tmp_path / "report.ndjson"
+        rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                   "--suite", str(suite), "--splits", "2",
+                   "--output", str(report_path)])
+        assert rc == 0
+        record = json.loads(report_path.read_text().splitlines()[0])
+        assert record["task"] == "regression"
+        assert np.isfinite(record["scores"]).all()
+
     def test_empty_suite_fails(self, run_dir, tmp_path):
         _, _, out = run_dir
         empty = tmp_path / "empty"
@@ -238,7 +258,7 @@ class TestSplitScore:
                      cat_mask=np.zeros(2, dtype=bool), task=CLASSIFICATION,
                      n_classes=2)
         calls = []
-        monkeypatch.setattr(cli, "_predict_any", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(cli, "predict", lambda *a, **kw: calls.append(a))
         with pytest.raises(ValueError, match="two classes"):
             cli._split_score(None, ds, np.random.default_rng(0), seed=0)
         assert calls == []

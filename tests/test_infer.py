@@ -1,15 +1,20 @@
 import dataclasses
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from priorfit.tensor import Tensor
 from priorfit.model import Model, ModelConfig, Prediction
 from priorfit.prior import CLASSIFICATION, REGRESSION, Dataset
 from priorfit import infer
-from priorfit.infer import (BatchPlan, aggregate_classification,
-                            aggregate_regression, normalize_train_test,
-                            permutation_ensemble, predict, subsample_features)
+from priorfit.data_io import ingest_csv, ingest_features_with_schema
+from priorfit.infer import (BatchPlan, normalize_train_test, predict,
+                            subsample_features)
+from priorfit.seeding import NS_EVAL, derive_rng
 
 
 MODEL = Model(ModelConfig(d_model=16, n_blocks=1, n_heads=2, d_ff=24,
@@ -133,7 +138,8 @@ class TestPredict:
         out = predict(MODEL, train, rng.standard_normal((3, 3)))
         np.testing.assert_array_equal(out.classes, [5, 9])
 
-    def test_wide_input_subsampled_with_shared_columns(self):
+    def test_wide_input_subsampled_with_shared_columns(self, monkeypatch):
+        monkeypatch.setattr(infer, "FEATURE_BUDGET", 8)
         rng = np.random.default_rng(5)
         n, d = 10, 30
         labels = rng.integers(0, 2, size=n)
@@ -141,8 +147,7 @@ class TestPredict:
         train = Dataset(X=Tensor(rng.standard_normal((n, d))),
                         y_values=Tensor(labels.astype(float)), y_labels=labels,
                         cat_mask=np.zeros(d, dtype=bool), task=CLASSIFICATION)
-        out = predict(MODEL, train, rng.standard_normal((4, d)),
-                      feature_budget=8, feature_rng=np.random.default_rng(0))
+        out = predict(MODEL, train, rng.standard_normal((4, d)))
         np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_regression_outputs_in_original_units(self):
@@ -163,6 +168,11 @@ class TestBatchPlan:
         plan = BatchPlan.build(10, cap=3000)
         assert plan.ranges == [(0, 10)]
         np.testing.assert_allclose(plan.weights, [1.0])
+        # one batch keeps the given row order and draws nothing
+        rng = np.random.default_rng(3)
+        plan = BatchPlan.build(10, cap=10, rng=rng)
+        np.testing.assert_array_equal(plan.order, np.arange(10))
+        assert rng.random() == np.random.default_rng(3).random()
 
     def test_weights_proportional_to_sizes(self):
         plan = BatchPlan.build(7, cap=3)
@@ -176,110 +186,114 @@ class TestBatchPlan:
         np.testing.assert_array_equal(a.order, b.order)
 
 
+def plan_order(n, seed=0):
+    """The row order of the batch plan predict draws for seed."""
+    return BatchPlan.build(n, infer.BATCH_CAP, derive_rng(seed, NS_EVAL, 2)).order
+
+
+def scripted_forward(monkeypatch, scripted):
+    calls = iter(scripted)
+    monkeypatch.setattr(infer, "_forward_prediction", lambda *a, **k: next(calls))
+
+
 class TestAggregateClassification:
-    def test_single_batch_equals_predict(self):
+    """predict over training sets above BATCH_CAP: per-batch class
+    distributions mix by batch weight."""
+
+    def test_single_batch_equals_predict(self, monkeypatch):
         rng = np.random.default_rng(7)
         train = class_train(rng, n=14)
         test = rng.standard_normal((4, 3))
         base = predict(MODEL, train, test)
-        agg = aggregate_classification(MODEL, train, test,
-                                       plan=BatchPlan.build(train.n))
+        monkeypatch.setattr(infer, "BATCH_CAP", train.n)
+        agg = predict(MODEL, train, test)
         np.testing.assert_array_equal(agg.probs, base.probs)
 
-    def test_identical_batches_fixed_point(self):
+    def test_identical_batches_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(infer, "BATCH_CAP", 10)
         rng = np.random.default_rng(8)
         half = class_train(rng, n=10)
+        order = plan_order(20)
+        rows = np.empty(20, dtype=int)  # both batches of the plan hold half, in order
+        rows[order] = np.tile(np.arange(10), 2)
         doubled = Dataset(
-            X=Tensor(np.concatenate([half.X.data, half.X.data])),
-            y_values=Tensor(np.concatenate([half.y_values.data] * 2)),
-            y_labels=np.concatenate([half.y_labels] * 2),
-            cat_mask=half.cat_mask, task=CLASSIFICATION)
+            X=Tensor(half.X.data[rows]), y_values=Tensor(half.y_values.data[rows]),
+            y_labels=half.y_labels[rows], cat_mask=half.cat_mask,
+            task=CLASSIFICATION)
         test = rng.standard_normal((5, 3))
-        plan = BatchPlan.build(20, cap=10)  # order untouched: two equal halves
-        agg = aggregate_classification(MODEL, doubled, test, plan=plan)
+        agg = predict(MODEL, doubled, test)
         single = predict(MODEL, half, test)
         np.testing.assert_allclose(agg.probs, single.probs, atol=1e-12)
 
     def test_hand_mixture(self, monkeypatch):
-        scripted = [
+        scripted_forward(monkeypatch, [
             Prediction(task=CLASSIFICATION, probs=np.array([[1.0, 0.0]]),
                        classes=np.array([0, 1])),
             Prediction(task=CLASSIFICATION, probs=np.array([[0.0, 1.0]]),
                        classes=np.array([0, 1])),
-        ]
-        calls = iter(scripted)
-        monkeypatch.setattr(infer, "_forward_prediction",
-                            lambda *a, **k: next(calls))
+        ])
+        monkeypatch.setattr(infer, "BATCH_CAP", 2)  # batches of 2 and 1 rows
         rng = np.random.default_rng(9)
         train = class_train(rng, n=3, C=2)
-        plan = BatchPlan(order=np.arange(3), ranges=[(0, 2), (2, 3)],
-                         weights=np.array([2 / 3, 1 / 3]))
-        out = aggregate_classification(MODEL, train, np.zeros((1, 3)), plan=plan)
+        out = predict(MODEL, train, np.zeros((1, 3)))
         np.testing.assert_allclose(out.probs, [[2 / 3, 1 / 3]])
 
-    def test_rows_remain_convex(self):
+    def test_rows_remain_convex(self, monkeypatch):
+        monkeypatch.setattr(infer, "BATCH_CAP", 8)
         rng = np.random.default_rng(10)
         train = class_train(rng, n=21)
-        plan = BatchPlan.build(21, cap=8, rng=np.random.default_rng(1))
-        out = aggregate_classification(MODEL, train, rng.standard_normal((6, 3)),
-                                       plan=plan)
+        out = predict(MODEL, train, rng.standard_normal((6, 3)), seed=1)
         np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(out.probs >= 0)
 
 
+
 class TestAggregateRegression:
+    """Above BATCH_CAP, Gaussian batches combine by inverse variance."""
+
     def test_hand_case(self, monkeypatch):
-        scripted = [
+        scripted_forward(monkeypatch, [
             Prediction(task=REGRESSION, mu=np.array([0.0]), sigma=np.array([1.0])),
             Prediction(task=REGRESSION, mu=np.array([5.0]), sigma=np.array([2.0])),
-        ]
-        calls = iter(scripted)
-        monkeypatch.setattr(infer, "_forward_prediction",
-                            lambda *a, **k: next(calls))
+        ])
+        monkeypatch.setattr(infer, "BATCH_CAP", 2)
         rng = np.random.default_rng(11)
         train = regr_train(rng, n=4)
-        plan = BatchPlan(order=np.arange(4), ranges=[(0, 2), (2, 4)],
-                         weights=np.array([0.5, 0.5]))
-        out = aggregate_regression(MODEL, train, np.zeros((1, 3)), plan=plan)
-        np.testing.assert_allclose(out, [1.0])
+        out = predict(MODEL, train, np.zeros((1, 3)))
+        np.testing.assert_allclose(out.mu, [1.0])
+        np.testing.assert_allclose(out.sigma, [(1.0 + 0.25) ** -0.5])
 
     def test_equal_sigma_is_arithmetic_mean(self, monkeypatch):
-        scripted = [
+        scripted_forward(monkeypatch, [
             Prediction(task=REGRESSION, mu=np.array([2.0, -1.0]),
                        sigma=np.array([0.5, 0.5])),
             Prediction(task=REGRESSION, mu=np.array([4.0, 3.0]),
                        sigma=np.array([0.5, 0.5])),
-        ]
-        calls = iter(scripted)
-        monkeypatch.setattr(infer, "_forward_prediction",
-                            lambda *a, **k: next(calls))
+        ])
+        monkeypatch.setattr(infer, "BATCH_CAP", 2)
         rng = np.random.default_rng(12)
         train = regr_train(rng, n=4)
-        plan = BatchPlan(order=np.arange(4), ranges=[(0, 2), (2, 4)],
-                         weights=np.array([0.5, 0.5]))
-        out = aggregate_regression(MODEL, train, np.zeros((2, 3)), plan=plan)
-        np.testing.assert_allclose(out, [3.0, 1.0])
+        out = predict(MODEL, train, np.zeros((2, 3)))
+        np.testing.assert_allclose(out.mu, [3.0, 1.0])
 
-    def test_single_batch_is_identity(self):
+    def test_single_batch_is_identity(self, monkeypatch):
         rng = np.random.default_rng(13)
         train = regr_train(rng, n=12)
         test = rng.standard_normal((3, 3))
         base = predict(MODEL, train, test)
-        out = aggregate_regression(MODEL, train, test,
-                                   plan=BatchPlan.build(train.n))
-        np.testing.assert_allclose(out, base.mu)
+        monkeypatch.setattr(infer, "BATCH_CAP", train.n)
+        out = predict(MODEL, train, test)
+        np.testing.assert_allclose(out.mu, base.mu)
 
-    def test_estimate_within_member_range(self):
+    def test_estimate_within_member_range(self, monkeypatch):
+        monkeypatch.setattr(infer, "BATCH_CAP", 6)
         rng = np.random.default_rng(14)
         train = regr_train(rng, n=18)
         test = rng.standard_normal((4, 3))
-        plan = BatchPlan.build(18, cap=6, rng=np.random.default_rng(2))
-        members = []
-        for s, e in plan.ranges:
-            sub = infer._take_rows(train, plan.order[s:e])
-            members.append(predict(MODEL, sub, test).mu)
-        members = np.stack(members)
-        out = aggregate_regression(MODEL, train, test, plan=plan)
+        order = plan_order(18, seed=2)
+        members = np.stack([predict(MODEL, infer._take_rows(train, order[s:s + 6]),
+                                    test).mu for s in (0, 6, 12)])
+        out = predict(MODEL, train, test, seed=2).mu
         assert np.all(out >= members.min(axis=0) - 1e-12)
         assert np.all(out <= members.max(axis=0) + 1e-12)
 
@@ -290,38 +304,76 @@ class TestPermutationEnsemble:
         train = class_train(rng, n=16)
         test = rng.standard_normal((5, 3))
         base = predict(MODEL, train, test)
-        out = permutation_ensemble(MODEL, train, test, k=1,
-                                   rng=np.random.default_rng(0))
+        out = predict(MODEL, train, test, ensemble=1, seed=5)
         np.testing.assert_array_equal(out.probs, base.probs)
 
     def test_seeded_reproducible(self):
         rng = np.random.default_rng(16)
         train = class_train(rng, n=16)
         test = rng.standard_normal((5, 3))
-        a = permutation_ensemble(MODEL, train, test, 4, np.random.default_rng(5))
-        b = permutation_ensemble(MODEL, train, test, 4, np.random.default_rng(5))
+        a = predict(MODEL, train, test, ensemble=4, seed=5)
+        b = predict(MODEL, train, test, ensemble=4, seed=5)
         np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_member_variance_reported(self):
         rng = np.random.default_rng(17)
         train = class_train(rng, n=16)
-        out = permutation_ensemble(MODEL, train, rng.standard_normal((5, 3)),
-                                   4, np.random.default_rng(6))
+        out = predict(MODEL, train, rng.standard_normal((5, 3)), ensemble=4, seed=6)
         assert out.member_variance is not None and out.member_variance >= 0
         np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_regression_moment_matching(self):
         rng = np.random.default_rng(18)
         train = regr_train(rng, n=16)
-        out = permutation_ensemble(MODEL, train, rng.standard_normal((5, 3)),
-                                   3, np.random.default_rng(7))
+        out = predict(MODEL, train, rng.standard_normal((5, 3)), ensemble=3, seed=7)
         assert np.all(out.sigma > 0)
 
     def test_k0_rejected(self):
         rng = np.random.default_rng(19)
         with pytest.raises(ValueError):
-            permutation_ensemble(MODEL, class_train(rng), np.zeros((1, 3)),
-                                 0, np.random.default_rng(0))
+            predict(MODEL, class_train(rng), np.zeros((1, 3)), ensemble=0)
+
+
+@pytest.fixture
+def forwards(monkeypatch):
+    """The training sets _forward_prediction is called with."""
+    seen = []
+    forward = infer._forward_prediction
+
+    def counted(model, train, *args):
+        seen.append(train)
+        return forward(model, train, *args)
+
+    monkeypatch.setattr(infer, "_forward_prediction", counted)
+    return seen
+
+
+class TestComposedPath:
+    """Ensembling composes with batch aggregation and feature subsampling."""
+
+    @pytest.mark.parametrize("make", [class_train, regr_train])
+    def test_every_member_predicts_every_batch(self, monkeypatch, forwards, make):
+        monkeypatch.setattr(infer, "BATCH_CAP", 8)
+        rng = np.random.default_rng(30)
+        train = make(rng, n=21)
+        out = predict(MODEL, train, rng.standard_normal((4, 3)), ensemble=2)
+        assert len(forwards) == 2 * 3
+        assert sorted(t.n for t in forwards) == [5, 5, 8, 8, 8, 8]
+        assert out.member_variance is not None
+
+    def test_every_member_sees_the_feature_budget(self, monkeypatch, forwards):
+        monkeypatch.setattr(infer, "FEATURE_BUDGET", 4)
+        rng = np.random.default_rng(31)
+        train = class_train(rng, n=12, d=9)
+        out = predict(MODEL, train, rng.standard_normal((3, 9)), ensemble=2)
+        assert len(forwards) == 2
+        assert [t.d for t in forwards] == [4, 4]
+        np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_test_width_mismatch_rejected(self):
+        rng = np.random.default_rng(32)
+        with pytest.raises(ValueError, match="features"):
+            predict(MODEL, class_train(rng), np.zeros((2, 4)), ensemble=2)
 
 
 def joint_forward(model, train, test_x):
@@ -440,3 +492,67 @@ class TestCachedChunkedPredict:
         assert not np.allclose(first, second)
         np.testing.assert_allclose(second, joint_forward(four, train, test_x),
                                    rtol=0, atol=1e-12)
+
+
+COLUMN_KINDS = ("numeric", "constant", "categorical", "missing")
+MISSING = ("", "NA", "?")
+
+
+@st.composite
+def csv_pair(draw):
+    """A training CSV (target first) and a test CSV with ragged rows,
+    constant, categorical and entirely missing columns, unseen test
+    categories and 1-4 test lines."""
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=4)
+                 .filter(lambda ks: any(k != "missing" for k in ks)))
+    regression = draw(st.booleans())
+    n_train = draw(st.integers(1, 12))
+    n_test = draw(st.integers(1, 4))
+    number = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+
+    def cell(kind, test):
+        if kind == "constant":
+            return "2.5"
+        if kind == "missing":
+            return draw(st.sampled_from(MISSING))
+        token = number if kind == "numeric" else st.sampled_from(
+            ("u", "v", "w") + (("unseen",) if test else ()))
+        return draw(st.one_of(token, st.sampled_from(MISSING)))
+
+    def row(test):
+        cells = [cell(k, test) for k in kinds]
+        return cells[:draw(st.integers(0 if test else 1, len(cells)))]
+
+    names = [f"f{j}" for j in range(len(kinds))]
+    target = number if regression else st.sampled_from(("a", "b", "c"))
+    train = [["y"] + names] + [[draw(target)] + row(False) for _ in range(n_train)]
+    test = [names] + [row(True) for _ in range(n_test)]
+    return regression, train, test
+
+
+class TestIngestToPredict:
+    @settings(max_examples=60, deadline=None)
+    @given(data=csv_pair(), ensemble=st.integers(1, 2), cap=st.sampled_from((3, 3000)))
+    def test_one_finite_row_per_test_line(self, data, ensemble, cap):
+        regression, train_rows, test_rows = data
+        observed = {j for r in train_rows[1:] for j, c in enumerate(r[1:]) if c not in MISSING}
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(infer, "BATCH_CAP", cap):
+            paths = [Path(tmp) / "train.csv", Path(tmp) / "test.csv"]
+            for path, rows in zip(paths, (train_rows, test_rows)):
+                path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+            overrides = {"y": "numeric"} if regression else None
+            if not observed:  # every feature column entirely missing: refused
+                with pytest.raises(ValueError, match="no usable feature columns"):
+                    ingest_csv(paths[0], "y", overrides)
+                return
+            train, schemas = ingest_csv(paths[0], "y", overrides)
+            test_x, test_missing = ingest_features_with_schema(paths[1], schemas)
+            out = predict(MODEL, train, test_x, test_missing, ensemble=ensemble)
+        n_lines = len(test_rows) - 1
+        if regression:
+            assert out.mu.shape == (n_lines,) and np.isfinite(out.mu).all()
+        else:
+            assert out.probs.shape == (n_lines, out.classes.size)
+            assert np.isfinite(out.probs).all()
+            np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-6)
