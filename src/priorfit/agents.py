@@ -9,6 +9,10 @@ with decoupled weight decay). Every reset_period optimizer steps the agent's
 MLP and all its random factors (feature count, class count, discretizer
 draws, task kind) are re-sampled, which keeps the generator from settling
 into a stalemate with the model.
+
+make_agents builds one agent per adversarial slot: the first round(fraction
+* m) of a step's m generator slots. The training loop takes that plain list;
+an empty list is the agent-free run.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Agent-pool block of the run configuration."""
+    """Agent block of the run configuration."""
 
     fraction: float = 0.125
     lr: float = 0.1
@@ -85,30 +89,16 @@ class AgentState:
         return False
 
 
-class AgentPool:
-    """m generator slots with a fixed adversarial prefix.
-
-    round(fraction * m) slots are adversarial and stay adversarial for the
-    whole run; the rest draw a fresh ordinary generator every episode.
-    """
-
-    def __init__(self, m: int, space: GeneratorHyperSpace, run_seed: int,
-                 agent_cfg: Optional[AgentConfig] = None):
-        if m < 1:
-            raise ValueError("pool needs at least one slot")
-        n_adv = int(round(agent_cfg.fraction * m)) if agent_cfg else 0
-        self.agents = [AgentState(agent_cfg, space, run_seed, slot)
-                       for slot in range(n_adv)]
-
-    @property
-    def n_adversarial(self) -> int:
-        return len(self.agents)
-
-    def is_adversarial(self, slot: int) -> bool:
-        return slot < len(self.agents)
-
-    def service_resets(self) -> int:
-        return sum(1 for a in self.agents if a.maybe_reset())
+def make_agents(m: int, space: GeneratorHyperSpace, run_seed: int,
+                agent_cfg: Optional[AgentConfig]) -> list[AgentState]:
+    """One agent for each of the first round(fraction * m) slots, which stay
+    adversarial for the whole run; the other slots draw a fresh ordinary
+    generator every episode. No config, or a share that rounds to zero,
+    gives the empty list of the agent-free run."""
+    if m < 1:
+        raise ValueError("a step needs at least one generator slot")
+    n_adv = int(round(agent_cfg.fraction * m)) if agent_cfg else 0
+    return [AgentState(agent_cfg, space, run_seed, slot) for slot in range(n_adv)]
 
 
 def ascend_or_reset(agent: AgentState) -> bool:

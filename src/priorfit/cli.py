@@ -23,7 +23,7 @@ from .config import RunManifest, load_run_config
 from .data_io import ingest_csv, ingest_features_with_schema, read_table, TARGET
 from .diversity import ordinary_vs_adversarial
 from .infer import _take_rows, predict
-from .metrics import mse, rank_and_wins, roc_auc_ovo, score_summary
+from .metrics import mse, roc_auc_ovo, score_summary
 from .model import Model
 from .prior import CLASSIFICATION
 from .seeding import NS_EVAL, NS_MODEL_INIT, derive_rng, derive_seed
@@ -106,7 +106,6 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"no CSV files under {args.suite}")
     records = []
     matrix = []
-    names = []
     t0 = time.time()
     for di, path in enumerate(suite):
         target = args.target or read_table(path)[0][-1]
@@ -120,23 +119,17 @@ def _cmd_evaluate(args) -> int:
                 log.warning("%s split %d skipped: %s", path.name, s, err)
                 scores.append(float("nan"))
         matrix.append(scores)
-        names.append(path.stem)
         records.append({"dataset": path.stem, "task": ds.task,
                         "scores": scores,
                         "mean": float(np.nanmean(scores)),
                         "std": float(np.nanstd(scores))})
     elapsed = time.time() - t0
-    matrix = np.array(matrix)
-    summary = score_summary(matrix)
-    report = rank_and_wins(np.nanmean(matrix, axis=1)[:, None], ["priorfit"],
-                           datasets=names, timing={"total_seconds": elapsed})
-    out = {"datasets": records, "summary": summary,
-           "rank": report.rank_summary(), "timing": report.timing}
+    summary = score_summary(np.array(matrix))
     if args.output:
         Path(args.output).write_text(
             "\n".join(json.dumps(r, sort_keys=True) for r in records)
             + "\n" + json.dumps({"summary": summary}, sort_keys=True) + "\n")
-    width = max(len(n) for n in names)
+    width = max(len(rec["dataset"]) for rec in records)
     print(f"{'dataset':<{width}}  task            mean    std")
     for rec in records:
         print(f"{rec['dataset']:<{width}}  {rec['task']:<14}"

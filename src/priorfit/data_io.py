@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,10 +98,15 @@ def _encode_numeric(values: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows. Columns are keyed by name downstream, so a
+    repeated name is refused rather than letting one column shadow another."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file, header row required")
+    repeated = sorted(name for name, k in Counter(rows[0]).items() if k > 1)
+    if repeated:
+        raise ValueError(f"{path}: duplicate column names {repeated}")
     return rows[0], rows[1:]
 
 

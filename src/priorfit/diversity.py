@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .agents import AgentConfig, AgentState, ascend_or_reset
-from .model import Episode, Model
+from .model import Model
 from .prior import (CLASSIFICATION, Dataset, GeneratorHyperSpace,
                     generate_dataset, sample_generator)
 from .seeding import NS_EVAL, derive_seed
@@ -108,8 +108,7 @@ def build_adversarial_collection(model: Model, space, agent_cfg: AgentConfig,
         try:
             with T.Tape() as tape:
                 ds = generate_dataset(agent.generator, n_rows, ep_seed, soft=True)
-                ep = Episode(ds, l=max(2, n_rows // 2))
-                loss = _forward_episode_losses(model, [ep], ep.l, None)
+                loss = _forward_episode_losses(model, [ds], max(2, n_rows // 2), None)
                 tape.backward(loss)
                 tape.clear()
             ascend_or_reset(agent)

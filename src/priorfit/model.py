@@ -22,7 +22,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .prior import Dataset
 
 log = logging.getLogger(__name__)
 
@@ -64,18 +63,6 @@ class ModelConfig:
             raise ValueError(f"unknown head '{self.head}'")
         if self.gate_temperature <= 0:
             raise ValueError("gate_temperature must be positive")
-
-
-@dataclass
-class Episode:
-    """One dataset with its train/test split position."""
-
-    dataset: Dataset
-    l: int
-
-    def __post_init__(self):
-        if not 1 <= self.l < self.dataset.n:
-            raise ValueError(f"split {self.l} out of range for n={self.dataset.n}")
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Prior-fitting loop.
 
 Each optimizer step draws one batch geometry (row count and split position),
-generates one episode per pool slot and accumulation micro-step, runs the
-batched forward, and backpropagates the mean per-episode NLL once. Model
-parameters take an Adam descent step; adversarial agents take a sign-flipped
-SGD step on the very same gradients, then the reset schedule is serviced.
+generates one dataset per generator slot and accumulation micro-step, runs
+the batched forward, and backpropagates the mean per-episode NLL once. The
+step takes the model and a plain list of agents, one per adversarial slot
+(the first slots); an empty list is the agent-free run. Model parameters
+take an Adam descent step; the agents take a sign-flipped SGD step on the
+very same gradients, then the reset schedule is serviced.
 
 All randomness is re-derived from (run_seed, namespace, step, ...) so a run
 is bit-reproducible and resuming from a checkpoint continues the exact
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .agents import AgentConfig, AgentPool, ascend_or_reset
-from .model import Episode, Model, ModelConfig
-from .prior import (CLASSIFICATION, REGRESSION, GeneratorHyperSpace,
+from .agents import AgentConfig, AgentState, ascend_or_reset, make_agents
+from .model import Model, ModelConfig
+from .prior import (CLASSIFICATION, REGRESSION, Dataset, GeneratorHyperSpace,
                     generate_dataset, sample_generator)
 from .seeding import (NS_BATCH_META, NS_EPISODE, NS_GATES, NS_MODEL_INIT,
                       NS_ORDINARY_GEN, derive_rng, derive_seed)
@@ -42,7 +44,7 @@ class TrainConfig:
     """Full-scale defaults; desk-scale runs override batch and budget."""
 
     model_lr: float = 1e-4
-    datasets_per_step: int = 64      # pool slots, one episode each per micro-step
+    datasets_per_step: int = 64      # generator slots, one episode each per micro-step
     accumulation_steps: int = 1
     total_datasets: int = 6_400_000
     rows: tuple[int, int] = (60, 160)
@@ -130,13 +132,13 @@ def sample_split(n: int, rng: np.random.Generator) -> int:
 # batched forward
 
 
-def _stack_features(episodes: list[Episode]) -> Tensor:
-    """Stack the episodes' feature blocks into (B, n, d), zero-padding each
-    to the widest episode; Model.embed_features maps d onto the model."""
-    width = max(ep.dataset.d for ep in episodes)
+def _stack_features(datasets: list[Dataset]) -> Tensor:
+    """Stack the feature blocks into (B, n, d), zero-padding each to the
+    widest dataset; Model.embed_features maps d onto the model."""
+    width = max(ds.d for ds in datasets)
     blocks = []
-    for ep in episodes:
-        x = ep.dataset.X
+    for ds in datasets:
+        x = ds.X
         if x.shape[1] < width:
             x = T.concat([x, Tensor(np.zeros((x.shape[0], width - x.shape[1])))],
                          axis=1)
@@ -144,32 +146,38 @@ def _stack_features(episodes: list[Episode]) -> Tensor:
     return T.stack(blocks)
 
 
-def _forward_episode_losses(model: Model, episodes: list[Episode], l: int,
+def _forward_episode_losses(model: Model, datasets: list[Dataset], l: int,
                             gate_rng: Optional[np.random.Generator]) -> Tensor:
-    """Sum of per-episode mean NLLs for a same-geometry episode list."""
-    cls = [ep for ep in episodes if ep.dataset.task == CLASSIFICATION]
-    reg = [ep for ep in episodes if ep.dataset.task == REGRESSION]
+    """Sum of per-episode mean NLLs for same-size datasets, each split into
+    l context rows and n - l scored rows."""
+    for ds in datasets:
+        if not 1 <= l < ds.n:
+            raise ValueError(f"split {l} out of range for n={ds.n}")
+    cls = [ds for ds in datasets if ds.task == CLASSIFICATION]
+    reg = [ds for ds in datasets if ds.task == REGRESSION]
     pieces = []
     if cls:
         x = _stack_features(cls)
-        y = T.stack([ep.dataset.y_values for ep in cls])
-        alphabets = [np.unique(ep.dataset.y_labels[:l]) for ep in cls]
-        n_classes = max(a.size for a in alphabets)
-        n_test = cls[0].dataset.n - l
+        y = T.stack([ds.y_values for ds in cls])
+        n_test = cls[0].n - l
         train01 = np.zeros((len(cls), l), dtype=np.intp)
         test_idx = np.zeros((len(cls), n_test), dtype=np.intp)
         valid = np.zeros((len(cls), n_test), dtype=bool)
-        for b, (ep, classes) in enumerate(zip(cls, alphabets)):
-            lookup = {c: i for i, c in enumerate(classes)}
-            train01[b] = [lookup[c] for c in ep.dataset.y_labels[:l]]
-            for j, c in enumerate(ep.dataset.y_labels[l:]):
-                valid[b, j] = c in lookup
-                test_idx[b, j] = lookup.get(c, 0)
+        n_classes = 0
+        for b, ds in enumerate(cls):
+            # each context's own sorted alphabet; test labels outside it are
+            # marked invalid and scored at the probability floor
+            classes, train01[b] = np.unique(ds.y_labels[:l], return_inverse=True)
+            test = ds.y_labels[l:]
+            at = np.minimum(np.searchsorted(classes, test), classes.size - 1)
+            valid[b] = classes[at] == test
+            test_idx[b] = np.where(valid[b], at, 0)
+            n_classes = max(n_classes, classes.size)
         probs = model.forward_classification(x, y, l, train01, n_classes, gate_rng)
         pieces.append(T.sum_(nll_classification(probs, test_idx, valid)))
     if reg:
         x = _stack_features(reg)
-        y = T.stack([ep.dataset.y_values for ep in reg])
+        y = T.stack([ds.y_values for ds in reg])
         mu, sigma = model.forward_regression(x, y, l)
         pieces.append(T.sum_(nll_regression(mu, sigma, y[:, l:])))
     total = pieces[0]
@@ -213,39 +221,34 @@ class AdamState:
 # the step and the loop
 
 
-def _all_params(model: Model, pool: Optional[AgentPool]) -> list[Tensor]:
+def _all_params(model: Model, agents: list[AgentState]) -> list[Tensor]:
     params = model.parameters()
-    if pool is not None:
-        for agent in pool.agents:
-            params.extend(agent.parameters())
+    for agent in agents:
+        params.extend(agent.parameters())
     return params
 
 
-def _slot_episode(pool: Optional[AgentPool], space: GeneratorHyperSpace,
-                  cfg: TrainConfig, step: int, idx: int, slot: int, n: int,
-                  l: int) -> Episode:
-    """Generate one episode for a slot; degenerate mechanisms (single-class
+def _slot_episode(agents: list[AgentState], space: GeneratorHyperSpace,
+                  cfg: TrainConfig, step: int, idx: int, slot: int,
+                  n: int) -> Dataset:
+    """Generate one dataset for a slot; degenerate mechanisms (single-class
     response after all input resamples) get a deterministic redraw, with
     adversarial slots reset first."""
-    adversarial = pool is not None and pool.is_adversarial(slot)
+    adversarial = slot < len(agents)
     for retry in range(4):
         ep_seed = derive_seed(cfg.seed, NS_EPISODE, step, idx, retry)
         try:
             if adversarial:
-                ds = generate_dataset(pool.agents[slot].generator, n, ep_seed,
-                                      soft=True)
-            else:
-                gen_seed = derive_seed(cfg.seed, NS_ORDINARY_GEN, step, idx, retry)
-                ds = generate_dataset(sample_generator(space, gen_seed), n, ep_seed)
-            return Episode(ds, l)
+                return generate_dataset(agents[slot].generator, n, ep_seed, soft=True)
+            gen_seed = derive_seed(cfg.seed, NS_ORDINARY_GEN, step, idx, retry)
+            return generate_dataset(sample_generator(space, gen_seed), n, ep_seed)
         except RuntimeError:
             if adversarial:
-                pool.agents[slot].reset(reason="degenerate")
-            continue
+                agents[slot].reset(reason="degenerate")
     raise RuntimeError(f"slot {slot}: no usable episode after redraws at step {step}")
 
 
-def train_step(model: Model, pool: Optional[AgentPool], cfg: TrainConfig,
+def train_step(model: Model, agents: list[AgentState], cfg: TrainConfig,
                space: GeneratorHyperSpace, step: int, adam: AdamState) -> dict:
     """One optimizer step over datasets_per_step x accumulation episodes."""
     m, k = cfg.datasets_per_step, cfg.accumulation_steps
@@ -254,20 +257,18 @@ def train_step(model: Model, pool: Optional[AgentPool], cfg: TrainConfig,
     l = sample_split(n, meta_rng)
     gate_rng = derive_rng(cfg.seed, NS_GATES, step)
 
-    T.zero_grads(_all_params(model, pool))
+    T.zero_grads(_all_params(model, agents))
     step_nll = 0.0
     skipped = False
     try:
         for micro in range(k):
-            episodes = []
             with T.Tape() as tape:
-                for slot in range(m):
-                    # flat episode index, so accumulation micro-steps consume
-                    # the same streams one large batch would
-                    idx = micro * m + slot
-                    episodes.append(_slot_episode(pool, space, cfg, step, idx,
-                                                  slot, n, l))
-                loss_sum = _forward_episode_losses(model, episodes, l, gate_rng)
+                # flat episode index, so accumulation micro-steps consume
+                # the same streams one large batch would
+                datasets = [_slot_episode(agents, space, cfg, step, micro * m + slot,
+                                          slot, n)
+                            for slot in range(m)]
+                loss_sum = _forward_episode_losses(model, datasets, l, gate_rng)
                 loss = T.mul(loss_sum, 1.0 / (m * k))
                 step_nll += float(loss.data)
                 tape.backward(loss)
@@ -275,24 +276,22 @@ def train_step(model: Model, pool: Optional[AgentPool], cfg: TrainConfig,
     except T.GradientNaN as err:
         skipped = True
         log.warning("step %d skipped: %s", step, err)
-        T.zero_grads(_all_params(model, pool))
-        if pool is not None:
-            for agent in pool.agents:
-                agent.reset(reason="nan-gradients")
+        T.zero_grads(_all_params(model, agents))
+        for agent in agents:
+            agent.reset(reason="nan-gradients")
 
     if not skipped:
         adam.step(model.params, cfg.model_lr)
-        if pool is not None:
-            for agent in pool.agents:
-                ascend_or_reset(agent)
-        T.zero_grads(_all_params(model, pool))
+        for agent in agents:
+            ascend_or_reset(agent)
+        T.zero_grads(_all_params(model, agents))
 
-    resets = pool.service_resets() if pool is not None else 0
+    resets = sum(1 for a in agents if a.maybe_reset())
     return {"step": step, "nll": step_nll, "n": n, "l": l,
             "resets": resets, "skipped": skipped}
 
 
-def _checkpoint_payload(cfg: TrainConfig, pool: Optional[AgentPool],
+def _checkpoint_payload(cfg: TrainConfig, agents: list[AgentState],
                         adam: AdamState, next_step: int):
     extra = {
         "next_step": next_step,
@@ -301,23 +300,22 @@ def _checkpoint_payload(cfg: TrainConfig, pool: Optional[AgentPool],
                  "eps": adam.eps},
         "agents": [{"reset_count": a.reset_count,
                     "steps_since_reset": a.steps_since_reset}
-                   for a in (pool.agents if pool else [])],
+                   for a in agents],
     }
     arrays = {}
     for name, m_arr in adam.m.items():
         arrays[f"adam/m/{name}"] = m_arr
         arrays[f"adam/v/{name}"] = adam.v[name]
-    if pool is not None:
-        for i, agent in enumerate(pool.agents):
-            for j, w in enumerate(agent.generator.weights):
-                arrays[f"agent/{i}/w/{j}"] = w.data
-            for j, b in enumerate(agent.generator.biases):
-                arrays[f"agent/{i}/b/{j}"] = b.data
+    for i, agent in enumerate(agents):
+        for j, w in enumerate(agent.generator.weights):
+            arrays[f"agent/{i}/w/{j}"] = w.data
+        for j, b in enumerate(agent.generator.biases):
+            arrays[f"agent/{i}/b/{j}"] = b.data
     return extra, arrays
 
 
 def _restore_training_state(extra: dict, aux: dict, cfg: TrainConfig,
-                            pool: Optional[AgentPool]) -> tuple[AdamState, int]:
+                            agents: list[AgentState]) -> tuple[AdamState, int]:
     stored = extra["train_config"]
     ours = asdict(cfg)
     ours["rows"], stored["rows"] = list(ours["rows"]), list(stored["rows"])
@@ -331,18 +329,17 @@ def _restore_training_state(extra: dict, aux: dict, cfg: TrainConfig,
             adam.m[key[len("adam/m/"):]] = arr.copy()
         elif key.startswith("adam/v/"):
             adam.v[key[len("adam/v/"):]] = arr.copy()
-    if pool is not None:
-        metas = extra["agents"]
-        if len(metas) != len(pool.agents):
-            raise ValueError("checkpoint agent count does not match the pool")
-        for i, (agent, meta) in enumerate(zip(pool.agents, metas)):
-            agent.reset_count = meta["reset_count"]
-            agent.steps_since_reset = meta["steps_since_reset"]
-            agent.generator = agent._sample()
-            for j, w in enumerate(agent.generator.weights):
-                w.data = aux[f"agent/{i}/w/{j}"].copy()
-            for j, b in enumerate(agent.generator.biases):
-                b.data = aux[f"agent/{i}/b/{j}"].copy()
+    metas = extra["agents"]
+    if len(metas) != len(agents):
+        raise ValueError(f"checkpoint holds {len(metas)} agents, the run has {len(agents)}")
+    for i, (agent, meta) in enumerate(zip(agents, metas)):
+        agent.reset_count = meta["reset_count"]
+        agent.steps_since_reset = meta["steps_since_reset"]
+        agent.generator = agent._sample()
+        for j, w in enumerate(agent.generator.weights):
+            w.data = aux[f"agent/{i}/w/{j}"].copy()
+        for j, b in enumerate(agent.generator.biases):
+            b.data = aux[f"agent/{i}/b/{j}"].copy()
     return adam, extra["next_step"]
 
 
@@ -366,14 +363,10 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
     train_log = TrainLog(log_path)
     try:
         steps = math.ceil(cfg.total_datasets / cfg.effective_batch)
-        pool = None
-        if agent_cfg is not None:
-            pool = AgentPool(cfg.datasets_per_step, space, cfg.seed, agent_cfg)
-            if pool.n_adversarial == 0:
-                pool = None
+        agents = make_agents(cfg.datasets_per_step, space, cfg.seed, agent_cfg)
         if resume_from is not None:
             model, extra, aux = Model.load(resume_from)
-            adam, start = _restore_training_state(extra, aux, cfg, pool)
+            adam, start = _restore_training_state(extra, aux, cfg, agents)
         else:
             model = Model(model_cfg, seed=derive_seed(cfg.seed, NS_MODEL_INIT))
             adam = AdamState()
@@ -382,16 +375,12 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
         def write_checkpoint(next_step: int) -> None:
             if checkpoint_path is None:
                 return
-            extra, arrays = _checkpoint_payload(cfg, pool, adam, next_step)
-            try:
-                model.save(checkpoint_path, extra=extra, arrays=arrays)
-            except OSError:
-                train_log.close()
-                raise
+            extra, arrays = _checkpoint_payload(cfg, agents, adam, next_step)
+            model.save(checkpoint_path, extra=extra, arrays=arrays)
 
         stop_at = steps if stop_after_steps is None else min(steps, start + stop_after_steps)
         for step in range(start, stop_at):
-            rec = train_step(model, pool, cfg, space, step, adam)
+            rec = train_step(model, agents, cfg, space, step, adam)
             train_log.append(rec)
             due = (step + 1) % cfg.eval_every == 0 or step == stop_at - 1
             if due:

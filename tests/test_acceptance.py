@@ -18,7 +18,7 @@ from priorfit.diversity import (build_adversarial_collection, histogram_density,
                                 kl_divergence, ordinary_collection)
 from priorfit.infer import predict
 from priorfit.metrics import roc_auc_ovo, rank_and_wins
-from priorfit.model import Episode, Model, ModelConfig, Prediction
+from priorfit.model import Model, ModelConfig, Prediction
 from priorfit.prior import (CLASSIFICATION, Dataset, GeneratorHyperSpace,
                             generate_dataset, hard_discretize,
                             sample_generator, soft_discretize)
@@ -190,12 +190,11 @@ class TestCriterion1Gradients:
                 ds = generate_dataset(g, 14, seed=seed)
             except RuntimeError:
                 continue
-            ep = Episode(ds, l=8)
             direction = {name: rng.standard_normal(model.params[name].shape)
                          for name in names}
 
             def f():
-                return float(_forward_episode_losses(model, [ep], ep.l, None).data)
+                return float(_forward_episode_losses(model, [ds], 8, None).data)
 
             def shift(h):
                 for name in names:
@@ -203,7 +202,7 @@ class TestCriterion1Gradients:
                     p.data = p.data + h * direction[name]
 
             with T.Tape() as tape:
-                loss = _forward_episode_losses(model, [ep], ep.l, None)
+                loss = _forward_episode_losses(model, [ds], 8, None)
                 tape.backward(loss)
             # heads outside this episode's task carry no gradient and do not
             # move the loss either
@@ -238,7 +237,7 @@ class TestCriterion1Gradients:
                 except RuntimeError:
                     return None
                 return float(_forward_episode_losses(
-                    model, [Episode(ds, 7)], 7, None).data)
+                    model, [ds], 7, None).data)
 
             def shift(h):
                 for p, u in zip(params, direction):
@@ -249,7 +248,7 @@ class TestCriterion1Gradients:
             try:
                 with T.Tape() as tape:
                     ds = generate_dataset(agent.generator, 12, ep_seed, soft=True)
-                    loss = _forward_episode_losses(model, [Episode(ds, 7)], 7, None)
+                    loss = _forward_episode_losses(model, [ds], 7, None)
                     tape.backward(loss)
             except RuntimeError:
                 continue
@@ -317,7 +316,7 @@ class TestCriterion3Directionality:
 
             def frozen_nll():
                 ds = generate_dataset(agent.generator, 24, ep_seed, soft=True)
-                return _forward_episode_losses(model, [Episode(ds, 12)], 12, None)
+                return _forward_episode_losses(model, [ds], 12, None)
 
             try:
                 with T.Tape() as tape:

@@ -3,8 +3,8 @@ import pytest
 
 from priorfit import tensor as T
 from priorfit.tensor import Tensor
-from priorfit.agents import AgentConfig, AgentPool, AgentState, ascend_or_reset
-from priorfit.model import Episode, Model, ModelConfig
+from priorfit.agents import AgentConfig, AgentState, ascend_or_reset, make_agents
+from priorfit.model import Model, ModelConfig
 from priorfit.prior import (CLASSIFICATION, Dataset, GeneratorHyperSpace,
                             generate_dataset)
 from priorfit.train import AdamState, _forward_episode_losses
@@ -20,8 +20,8 @@ def tiny_model(seed=0, **kw):
 
 
 def adversarial_episode(agent, model, n=20, seed=0):
-    ds = generate_dataset(agent.generator, n, seed, soft=True)
-    return Episode(ds, l=n // 2)
+    """A soft-generated dataset from the agent and its split, n // 2."""
+    return generate_dataset(agent.generator, n, seed, soft=True), n // 2
 
 
 class TestAgentConfig:
@@ -34,19 +34,23 @@ class TestAgentConfig:
             AgentConfig(reset_period=0)
 
 
-class TestAgentPool:
+class TestMakeAgents:
     def test_composition_rounds_and_stays_fixed(self):
-        pool = AgentPool(64, SPACE, run_seed=0, agent_cfg=AgentConfig(fraction=0.125))
-        assert pool.n_adversarial == 8
+        agents = make_agents(64, SPACE, run_seed=0, agent_cfg=AgentConfig(fraction=0.125))
+        assert len(agents) == 8
         for _ in range(5):
-            pool.service_resets()
-            assert pool.n_adversarial == 8
-        assert all(pool.is_adversarial(s) for s in range(8))
-        assert not any(pool.is_adversarial(s) for s in range(8, 64))
+            for agent in agents:
+                agent.maybe_reset()
+            assert len(agents) == 8
+        # train_step's rule: slot s is adversarial when s < len(agents)
+        assert [a.slot for a in agents] == list(range(8))
+        assert all(s < len(agents) for s in range(8))
+        assert not any(s < len(agents) for s in range(8, 64))
 
     def test_zero_fraction_has_no_agents(self):
-        pool = AgentPool(16, SPACE, run_seed=0, agent_cfg=AgentConfig(fraction=0.0))
-        assert pool.n_adversarial == 0
+        agents = make_agents(16, SPACE, run_seed=0, agent_cfg=AgentConfig(fraction=0.0))
+        assert agents == []
+        assert make_agents(16, SPACE, run_seed=0, agent_cfg=None) == []
 
 
 class TestResetSchedule:
@@ -88,7 +92,7 @@ def certain_episode(model):
     labels = np.array([0, 0, 0, 0, 0, 0])
     ds = Dataset(X=x, y_values=Tensor(labels.astype(float)), y_labels=labels,
                  cat_mask=np.zeros(3, dtype=bool), task=CLASSIFICATION, n_classes=2)
-    return Episode(ds, l=4)
+    return ds, 4
 
 
 class TestAgentLoss:
@@ -106,13 +110,13 @@ class TestAgentLoss:
         ds = Dataset(X=Tensor(rng.standard_normal((8, 3)), requires_grad=True),
                      y_values=Tensor(labels.astype(float)), y_labels=labels,
                      cat_mask=np.zeros(3, dtype=bool), task=CLASSIFICATION)
-        loss = _forward_episode_losses(model, [Episode(ds, l=6)], 6, None)
+        loss = _forward_episode_losses(model, [ds], 6, None)
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_perfect_predictor_gives_zero(self):
         model = tiny_model(seed=6)
-        ep = certain_episode(model)
-        loss = _forward_episode_losses(model, [ep], ep.l, None)
+        ds, l = certain_episode(model)
+        loss = _forward_episode_losses(model, [ds], l, None)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_disconnected_episode_rejected(self, caplog):
@@ -122,7 +126,7 @@ class TestAgentLoss:
         agent = AgentState(AgentConfig(), SPACE, run_seed=4, slot=0)
         ds = generate_dataset(agent.generator, 16, seed=0)
         with T.Tape() as tape:
-            loss = _forward_episode_losses(model, [Episode(ds, l=8)], 8, None)
+            loss = _forward_episode_losses(model, [ds], 8, None)
             tape.backward(loss)
         T.zero_grads(model.parameters())
         assert all(p.grad is None for p in agent.parameters())
@@ -142,16 +146,16 @@ class TestGradientFlow:
         with T.Tape() as tape:
             for attempt in range(20):
                 try:
-                    ep = adversarial_episode(agent, model, n=16,
-                                             seed=1000 * seed + attempt)
+                    ds, l = adversarial_episode(agent, model, n=16,
+                                                seed=1000 * seed + attempt)
                 except RuntimeError:
                     agent.reset(reason="degenerate")
                     continue
-                if np.unique(ep.dataset.y_labels[:ep.l]).size >= 2:
+                if np.unique(ds.y_labels[:l]).size >= 2:
                     break
             else:
                 pytest.fail("no non-degenerate episode found")
-            loss = _forward_episode_losses(model, [ep], ep.l, None)
+            loss = _forward_episode_losses(model, [ds], l, None)
             tape.backward(loss)
         nonzero = any(w.grad is not None and np.abs(w.grad).max() > 0
                       for w in agent.generator.weights)
@@ -170,8 +174,8 @@ class TestJointUpdate:
         w_before = [w.data.copy() for w in agent.generator.weights]
         p_before = {k: v.data.copy() for k, v in model.params.items()}
         with T.Tape() as tape:
-            ep = adversarial_episode(agent, model, n=16, seed=seed)
-            loss = _forward_episode_losses(model, [ep], ep.l, None)
+            ds, l = adversarial_episode(agent, model, n=16, seed=seed)
+            loss = _forward_episode_losses(model, [ds], l, None)
             tape.backward(loss)
         assert ascend_or_reset(agent)
         AdamState().step(model.params, model_lr)
@@ -208,8 +212,7 @@ class TestJointUpdate:
 
         def frozen_nll():
             ds = generate_dataset(agent.generator, 24, ep_seed, soft=True)
-            ep = Episode(ds, l=12)
-            return _forward_episode_losses(model, [ep], ep.l, None)
+            return _forward_episode_losses(model, [ds], 12, None)
 
         with T.Tape() as tape:
             loss = frozen_nll()

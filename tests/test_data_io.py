@@ -89,6 +89,15 @@ class TestIngest:
         with pytest.raises(ValueError):
             ingest_csv(path, target="y")
 
+    @pytest.mark.parametrize("header, repeated", [("a,a,y", "'a'"),
+                                                  ("a,y,y", "'y'")])
+    def test_duplicate_column_names_rejected(self, tmp_path, header, repeated):
+        # columns are keyed by name: a repeated feature would be ingested
+        # twice from its last column, a repeated target would drop a column
+        path = write(tmp_path, "t.csv", header + "\n1,2,0\n3,4,1\n")
+        with pytest.raises(ValueError, match=f"duplicate column names \\[{repeated}\\]"):
+            ingest_csv(path, target="y")
+
 
 class TestSchemaReuse:
     def test_unseen_category_becomes_missing(self, tmp_path):
@@ -104,6 +113,13 @@ class TestSchemaReuse:
         _, schemas = ingest_csv(train, target="y")
         test = write(tmp_path, "test.csv", "g\n1\n")
         with pytest.raises(ValueError):
+            ingest_features_with_schema(test, schemas)
+
+    def test_duplicate_test_column_rejected(self, tmp_path):
+        train = write(tmp_path, "train.csv", "f,y\na,0\nb,1\n")
+        _, schemas = ingest_csv(train, target="y")
+        test = write(tmp_path, "test.csv", "f,f\na,b\n")
+        with pytest.raises(ValueError, match="duplicate column names"):
             ingest_features_with_schema(test, schemas)
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from priorfit import tensor as T
 from priorfit.tensor import Tensor
-from priorfit.model import Model, ModelConfig, Episode
+from priorfit.model import Model, ModelConfig
 from priorfit.prior import Dataset, CLASSIFICATION
+from priorfit.train import _forward_episode_losses
 
 
 def tiny_cfg(**kw):
@@ -23,15 +24,18 @@ def episode_arrays(rng, B=1, n=12, d=3, C=3, l=None):
 
 class TestEpisodeType:
     def test_split_bounds(self):
+        # the episode loss is the one place a split is checked: at least one
+        # context row and at least one scored row
+        model = Model(tiny_cfg(), seed=0)
         ds = Dataset(X=Tensor(np.zeros((5, 2))), y_values=Tensor(np.zeros(5)),
                      y_labels=np.zeros(5, dtype=int),
                      cat_mask=np.zeros(2, dtype=bool), task=CLASSIFICATION)
-        Episode(ds, 1)
-        Episode(ds, 4)
+        assert np.isfinite(_forward_episode_losses(model, [ds], 1, None).item())
+        assert np.isfinite(_forward_episode_losses(model, [ds], 4, None).item())
         with pytest.raises(ValueError):
-            Episode(ds, 0)
+            _forward_episode_losses(model, [ds], 0, None)
         with pytest.raises(ValueError):
-            Episode(ds, 5)
+            _forward_episode_losses(model, [ds], 5, None)
 
 
 class TestEmbedding:

@@ -7,13 +7,12 @@ from scipy.stats import chi2
 
 from priorfit import tensor as T
 from priorfit.tensor import Tensor
-from priorfit.agents import AgentConfig
-from priorfit.model import Episode, Model, ModelConfig
+from priorfit.agents import AgentConfig, make_agents
+from priorfit.model import Model, ModelConfig
 from priorfit.prior import CLASSIFICATION, REGRESSION, Dataset, GeneratorHyperSpace
 from priorfit.train import (NLL_EPSILON, AdamState, TrainConfig, TrainLog,
                             _forward_episode_losses, nll_classification,
                             nll_regression, pretrain, sample_split, train_step)
-from priorfit.agents import AgentPool
 from gradcheck import finite_diff
 
 
@@ -104,7 +103,7 @@ class TestNLL:
         np.testing.assert_allclose(mu.grad, fd, rtol=1e-6)
 
 
-def random_episode(task, d, n=14, l=8, seed=0):
+def random_episode(task, d, n=14, seed=0):
     rng = np.random.default_rng(seed)
     if task == CLASSIFICATION:
         labels = np.array([0, 1] * (n // 2))
@@ -112,9 +111,8 @@ def random_episode(task, d, n=14, l=8, seed=0):
         y, y_labels = labels.astype(float), labels
     else:
         y, y_labels = rng.standard_normal(n), None
-    ds = Dataset(X=Tensor(rng.standard_normal((n, d))), y_values=Tensor(y),
-                 y_labels=y_labels, cat_mask=np.zeros(d, dtype=bool), task=task)
-    return Episode(ds, l)
+    return Dataset(X=Tensor(rng.standard_normal((n, d))), y_values=Tensor(y),
+                   y_labels=y_labels, cat_mask=np.zeros(d, dtype=bool), task=task)
 
 
 class TestBatchedEpisodeLosses:
@@ -129,6 +127,38 @@ class TestBatchedEpisodeLosses:
         batch = _forward_episode_losses(model, eps, 8, None).item()
         singles = [_forward_episode_losses(model, [ep], 8, None).item() for ep in eps]
         assert batch == pytest.approx(sum(singles), rel=1e-12)
+
+    def test_distinct_alphabets_and_absent_test_labels(self):
+        # each context keeps its own sorted alphabet; test labels outside it,
+        # below, between or above its classes, score at the probability floor
+        model = Model(MODEL_CFG, seed=6)
+        rng = np.random.default_rng(3)
+        n, l = 12, 7
+        label_rows = ([0, 1, 1, 0, 1, 0, 1, 2, 0, 1, 2, 1],
+                      [3, 1, 4, 4, 1, 3, 4, 0, 2, 3, 5, 4],
+                      [2, 2, 5, 5, 2, 5, 2, 5, 2, 1, 6, 3])
+        datasets = []
+        for labels in label_rows:
+            labels = np.array(labels)
+            datasets.append(Dataset(X=Tensor(rng.standard_normal((n, 3))),
+                                    y_values=Tensor(labels.astype(float)),
+                                    y_labels=labels, cat_mask=np.zeros(3, dtype=bool),
+                                    task=CLASSIFICATION))
+        batch = _forward_episode_losses(model, datasets, l, None).item()
+        singles = [_forward_episode_losses(model, [ds], l, None).item()
+                   for ds in datasets]
+        assert batch == pytest.approx(sum(singles), rel=1e-12)
+        for ds, single in zip(datasets, singles):
+            classes = sorted(set(ds.y_labels[:l].tolist()))
+            train01 = np.array([[classes.index(c) for c in ds.y_labels[:l]]])
+            probs = model.forward_classification(
+                Tensor(ds.X.data[None]), Tensor(ds.y_values.data[None]), l,
+                train01, len(classes)).data[0]
+            rows = [-np.log(probs[j, classes.index(c)]) if c in classes
+                    else -np.log(NLL_EPSILON)
+                    for j, c in enumerate(ds.y_labels[l:].tolist())]
+            assert any(c not in classes for c in ds.y_labels[l:].tolist())
+            assert single == pytest.approx(np.mean(rows), rel=1e-12)
 
 
 class TestSampleSplit:
@@ -161,7 +191,7 @@ class TestTrainStep:
             model = Model(MODEL_CFG, seed=1)
             adam = AdamState()
             cfg = small_train_cfg()
-            recs.append([train_step(model, None, cfg, SPACE, s, adam)["nll"]
+            recs.append([train_step(model, [], cfg, SPACE, s, adam)["nll"]
                          for s in range(3)])
         assert recs[0] == recs[1]
 
@@ -171,11 +201,10 @@ class TestTrainStep:
             model = Model(MODEL_CFG, seed=1)
             adam = AdamState()
             cfg = small_train_cfg()
-            pool = None if pool_kind == "none" else AgentPool(
+            agents = [] if pool_kind == "none" else make_agents(
                 cfg.datasets_per_step, SPACE, cfg.seed, AgentConfig(fraction=0.0))
-            pool = pool if pool_kind == "none" or pool.n_adversarial else None
             for s in range(3):
-                train_step(model, pool, cfg, SPACE, s, adam)
+                train_step(model, agents, cfg, SPACE, s, adam)
             results.append(model.checksum())
         assert results[0] == results[1]
 
@@ -184,7 +213,7 @@ class TestTrainStep:
         model = Model(MODEL_CFG, seed=2)
         model.params["embed/w"].data = np.full_like(model.params["embed/w"].data, 1e308)
         before = model.checksum()
-        rec = train_step(model, None, small_train_cfg(), SPACE, 0, AdamState())
+        rec = train_step(model, [], small_train_cfg(), SPACE, 0, AdamState())
         assert rec["skipped"]
         assert model.checksum() == before
         assert all(p.grad is None for p in model.parameters())
@@ -196,7 +225,7 @@ class TestTrainStep:
         adam = AdamState()
         cfg = small_train_cfg(model_lr=3e-3, datasets_per_step=8,
                               total_datasets=8 * 80, rows=(20, 30))
-        nlls = [train_step(model, None, cfg, SPACE, s, adam)["nll"]
+        nlls = [train_step(model, [], cfg, SPACE, s, adam)["nll"]
                 for s in range(80)]
         assert np.mean(nlls[-10:]) < nlls[0]
 
@@ -207,7 +236,7 @@ class TestTrainStep:
             model = Model(MODEL_CFG, seed=3)
             cfg = small_train_cfg(datasets_per_step=m, accumulation_steps=k,
                                   total_datasets=4)
-            train_step(model, None, cfg, SPACE, 0, AdamState())
+            train_step(model, [], cfg, SPACE, 0, AdamState())
             params.append({name: p.data.copy() for name, p in model.params.items()})
         for name in params[0]:
             np.testing.assert_allclose(params[0][name], params[1][name],
@@ -226,14 +255,14 @@ class TestTrainStep:
         monkeypatch.setattr(T, "Tape", RecordedTape)
         model = Model(MODEL_CFG, seed=5)
         cfg = small_train_cfg()
-        pool = AgentPool(cfg.datasets_per_step, SPACE, cfg.seed,
-                         AgentConfig(fraction=0.5))
+        agents = make_agents(cfg.datasets_per_step, SPACE, cfg.seed,
+                             AgentConfig(fraction=0.5))
         adam = AdamState()
         gc.collect()
         gc.disable()
         try:
             for s in range(3):
-                assert not train_step(model, pool, cfg, SPACE, s, adam)["skipped"]
+                assert not train_step(model, agents, cfg, SPACE, s, adam)["skipped"]
             alive = [t for t in tapes if t() is not None]
         finally:
             gc.enable()
@@ -286,6 +315,16 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(small_train_cfg(total_datasets=8, seed=99), MODEL_CFG, SPACE,
                      resume_from=tmp_path / "a.ckpt")
+
+    def test_resume_rejects_agent_count_drift(self, tmp_path):
+        # an agent checkpoint resumed without agents would silently drop them
+        cfg = small_train_cfg(total_datasets=8)
+        pretrain(cfg, MODEL_CFG, SPACE, AgentConfig(fraction=0.5),
+                 checkpoint_path=tmp_path / "a.ckpt", stop_after_steps=1)
+        for agent_cfg in (None, AgentConfig(fraction=0.0), AgentConfig(fraction=0.25)):
+            with pytest.raises(ValueError, match="agents"):
+                pretrain(cfg, MODEL_CFG, SPACE, agent_cfg,
+                         resume_from=tmp_path / "a.ckpt")
 
     def test_final_checkpoint_predicts(self, tmp_path):
         cfg = small_train_cfg(total_datasets=8)
