@@ -1,4 +1,5 @@
-"""Print the sha256 of fixed-seed pre-training artifacts for one source tree.
+"""Print the sha256 of fixed-seed pre-training and prediction artifacts for
+one source tree.
 
 A refactor that must not move numerics is checked by running this once
 against the parent checkout and once against the change, then diffing the
@@ -8,10 +9,18 @@ two outputs:
     python3 scripts/reference_hashes.py src > change.txt
     diff parent.txt change.txt
 
-The runs: the acceptance suite's criterion-12 CLI config; configs/desk.yaml
-of the same checkout at 12 steps (checkpoint and NDJSON training log); and
-12 steps of 8 mixed-task episodes in dense and in patch embedding, each with
-agents at fraction 0.25 and without agents.
+The training runs: the acceptance suite's criterion-12 CLI config;
+configs/desk.yaml of the same checkout at 12 steps (checkpoint and NDJSON
+training log); and 12 steps of 8 mixed-task episodes in dense and in patch
+embedding, each with agents at fraction 0.25 and without agents.
+
+The prediction runs use the criterion-12 checkpoint: CLI `predict` of a
+classification and a regression table with 3 and with 105 features (blank
+cells and categorical columns in both files), at `--ensemble` 1 and 3, with
+`infer.BATCH_CAP` at its default and at 50; the `evaluate` NDJSON of a
+4-file suite; and the `analyze-prior` outputs. Only long-standing names are
+used (`cli.main`, `export_csv`, `pretrain`, `generate_dataset`,
+`infer.BATCH_CAP`), so one command covers both trees of a refactor.
 """
 
 import argparse
@@ -34,9 +43,84 @@ DESK_STEPS = 12
 MIXED_STEPS = 12
 MIXED_BATCH = 8
 
+PREDICT_TRAIN_ROWS = 60
+PREDICT_TEST_ROWS = 20
+SMALL_BATCH_CAP = 50
+SUITE_ROWS = 40
+MISSING_SHARE = 0.1
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def quiet_cli(argv: list) -> None:
+    """Run one priorfit command with its stdout discarded; refuse on failure."""
+    from priorfit.cli import main as cli_main
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(argv)
+    if rc != 0:
+        raise RuntimeError(f"priorfit {argv[0]} exited with code {rc}")
+
+
+def export_table(path: Path, classification: bool, d: int, n: int,
+                 seed: int) -> None:
+    """Write a fixed-seed generated table with categorical columns and about
+    MISSING_SHARE blank feature cells."""
+    import numpy as np
+    from priorfit.data_io import export_csv
+    from priorfit.prior import (GeneratorHyperSpace, generate_dataset,
+                                sample_generator)
+    width = max(8, d)
+    space = GeneratorHyperSpace(
+        feature_count=(d, d), hidden_width=(width, width), layer_count=(3, 3),
+        categorical_fraction=(0.3, 0.3),
+        classification_prob=1.0 if classification else 0.0)
+    ds = generate_dataset(sample_generator(space, seed), n, seed)
+    ds.missing_mask = np.random.default_rng(seed).random((n, d)) < MISSING_SHARE
+    export_csv(ds, path)
+
+
+def prediction_hashes(work: Path, checkpoint: Path) -> None:
+    from priorfit import infer
+
+    default_cap = infer.BATCH_CAP
+    n = PREDICT_TRAIN_ROWS
+    for classification in (True, False):
+        task = "class" if classification else "regr"
+        for d in (3, 105):
+            export_table(work / "table.csv", classification, d,
+                         n + PREDICT_TEST_ROWS, seed=d)
+            header, *rows = (work / "table.csv").read_text().splitlines(True)
+            (work / "train.csv").write_text(header + "".join(rows[:n]))
+            (work / "test.csv").write_text(header + "".join(rows[n:]))
+            for cap in (default_cap, SMALL_BATCH_CAP):
+                for ensemble in (1, 3):
+                    out = work / "predictions.csv"
+                    infer.BATCH_CAP = cap
+                    try:
+                        quiet_cli(["predict", "--checkpoint", str(checkpoint),
+                                   "--train", str(work / "train.csv"),
+                                   "--test", str(work / "test.csv"),
+                                   "--target", "target", "--seed", "3",
+                                   "--ensemble", str(ensemble),
+                                   "--output", str(out)])
+                    finally:
+                        infer.BATCH_CAP = default_cap
+                    cap_name = "default" if cap == default_cap else str(cap)
+                    label = f"predict_{task}_d{d}_e{ensemble}_cap_{cap_name}"
+                    print(f"{label:<34} {sha256(out)}")
+
+    suite = work / "suite"
+    suite.mkdir()
+    for k, (classification, d) in enumerate(((True, 3), (False, 4),
+                                             (True, 6), (False, 5))):
+        export_table(suite / f"d{k}.csv", classification, d, SUITE_ROWS,
+                     seed=100 + k)
+    quiet_cli(["evaluate", "--checkpoint", str(checkpoint), "--suite",
+               str(suite), "--splits", "2", "--output",
+               str(work / "evaluate.ndjson")])
+    print(f"{'evaluate_ndjson':<34} {sha256(work / 'evaluate.ndjson')}")
 
 
 def main(src: Path) -> int:
@@ -81,6 +165,14 @@ def main(src: Path) -> int:
                 path = work / f"{mode}-{arm}.npz"
                 pretrain(train, model, space, agent, checkpoint_path=path)
                 print(f"{mode}_{arm:<10} {sha256(path)}")
+
+        checkpoint = work / "cli" / "checkpoint.npz"
+        prediction_hashes(work, checkpoint)
+        quiet_cli(["analyze-prior", "--config", str(cfg_path), "--datasets", "3",
+                   "--rows", "30", "--checkpoint", str(checkpoint),
+                   "--output", str(work / "prior")])
+        for name in ("diversity.json", "density_grids.npz"):
+            print(f"{'analyze_prior_' + name:<34} {sha256(work / 'prior' / name)}")
     return 0
 
 

@@ -22,7 +22,7 @@ from .agents import AgentConfig
 from .config import RunManifest, load_run_config
 from .data_io import ingest_csv, ingest_features_with_schema, read_table, TARGET
 from .diversity import ordinary_vs_adversarial
-from .infer import _take_rows, predict
+from .infer import predict
 from .metrics import mse, roc_auc_ovo, score_summary
 from .model import Model
 from .prior import CLASSIFICATION
@@ -89,14 +89,11 @@ def _split_score(model, ds, rng, seed) -> float:
     else:
         raise ValueError("no split with two classes among the test rows "
                          "after 20 draws")
-    train_rows, test_rows = order[:l], order[l:]
-    sub = _take_rows(ds, train_rows)
-    test_x = ds.X.data[test_rows]
-    test_missing = None if ds.missing_mask is None else ds.missing_mask[test_rows]
-    pred = predict(model, sub, test_x, test_missing, seed=seed)
+    train, test = ds.take(order[:l]), ds.take(order[l:])
+    pred = predict(model, train, test.X.data, test.missing_mask, seed=seed)
     if ds.task == CLASSIFICATION:
-        return roc_auc_ovo(pred.probs, ds.y_labels[test_rows], classes=pred.classes)
-    return mse(pred.mu, ds.y_values.data[test_rows])
+        return roc_auc_ovo(pred.probs, test.y_labels, classes=pred.classes)
+    return mse(pred.mu, test.y_values.data)
 
 
 def _cmd_evaluate(args) -> int:

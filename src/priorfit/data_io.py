@@ -3,8 +3,12 @@
 CSV ingestion infers a per-column schema (numeric vs categorical), encodes
 categorical columns ordinally by first appearance, records missing cells in
 a mask (imputation happens downstream, after normalization), and label-
-encodes the target. Row order is never changed, so row identity survives
-from file to prediction output.
+encodes the target. Every column of the training file, its target and every
+column of a test file encode through the same two functions: `_categories`
+builds a categorical column's mapping, `_encode` applies a column's schema.
+Unparseable numeric cells become missing cells with a warning, in either
+file. Row order is never changed, so row identity survives from file to
+prediction output.
 
 Datasets export to CSV for round trips through ingestion.
 """
@@ -66,35 +70,46 @@ def infer_column_kind(values: list[str], n_rows: int) -> str:
     return NUMERIC
 
 
-def _encode_categorical(values: list[str]) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+def _categories(values: list[str]) -> dict[str, int]:
+    """Each observed (stripped) token's code, in order of first appearance."""
+    mapping: dict[str, int] = {}
+    for raw in values:
+        if not _is_missing(raw):
+            mapping.setdefault(raw.strip(), len(mapping))
+    return mapping
+
+
+def _encode(values: list[str], schema: ColumnSchema
+            ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Codes, missing mask and unparseable count of one column under its
+    schema. With categories, a token outside them is missing; without, a
+    token that does not parse as a float is missing and counted."""
     codes = np.zeros(len(values))
     missing = np.zeros(len(values), dtype=bool)
-    mapping: dict[str, int] = {}
-    for i, raw in enumerate(values):
-        if _is_missing(raw):
-            missing[i] = True
-            continue
-        key = raw.strip()
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        codes[i] = mapping[key]
-    return codes, missing, mapping
-
-
-def _encode_numeric(values: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
-    out = np.zeros(len(values))
-    missing = np.zeros(len(values), dtype=bool)
     unparseable = 0
+    categories = schema.categories
     for i, raw in enumerate(values):
         if _is_missing(raw):
             missing[i] = True
-            continue
-        try:
-            out[i] = float(raw)
-        except ValueError:
-            missing[i] = True
-            unparseable += 1
-    return out, missing, unparseable
+        elif categories is not None:
+            code = categories.get(raw.strip())
+            if code is None:
+                missing[i] = True
+            else:
+                codes[i] = code
+        else:
+            try:
+                codes[i] = float(raw)
+            except ValueError:
+                missing[i] = True
+                unparseable += 1
+    return codes, missing, unparseable
+
+
+def _warn_unparseable(path, name: str, count: int) -> None:
+    if count:  # the cells stay missing, but not silently
+        log.warning("%s: %d unparseable cells in numeric column '%s' "
+                    "treated as missing", path, count, name)
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
@@ -110,6 +125,14 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def _read_columns(path) -> tuple[dict[str, list[str]], int]:
+    """The file's cells keyed by column name (short rows padded with blank
+    cells), and its row count."""
+    header, rows = read_table(path)
+    return ({name: [row[j] if j < len(row) else "" for row in rows]
+             for j, name in enumerate(header)}, len(rows))
+
+
 def ingest_csv(path, target: str,
                overrides: Optional[dict[str, str]] = None
                ) -> tuple[Dataset, list[ColumnSchema]]:
@@ -119,41 +142,31 @@ def ingest_csv(path, target: str,
     the target (categorical target means classification).
     """
     overrides = overrides or {}
-    header, rows = read_table(path)
-    if target not in header:
+    columns, n = _read_columns(path)
+    if target not in columns:
         raise ValueError(f"{path}: target column '{target}' not found")
-    n = len(rows)
     if n == 0:
         raise ValueError(f"{path}: no data rows")
-    columns = {name: [row[j] if j < len(row) else "" for row in rows]
-               for j, name in enumerate(header)}
 
     schemas: list[ColumnSchema] = []
     feature_cols: list[np.ndarray] = []
     feature_missing: list[np.ndarray] = []
-    cat_flags: list[bool] = []
-    for name in header:
+    for name, values in columns.items():
         if name == target:
             continue
-        values = columns[name]
-        kind = overrides.get(name) or infer_column_kind(values, n)
-        if kind == CATEGORICAL:
-            codes, missing, mapping = _encode_categorical(values)
-            schema = ColumnSchema(name, CATEGORICAL, categories=mapping,
-                                  missing_count=int(missing.sum()))
+        if (overrides.get(name) or infer_column_kind(values, n)) == CATEGORICAL:
+            schema = ColumnSchema(name, CATEGORICAL, categories=_categories(values))
         else:
-            codes, missing, unparseable = _encode_numeric(values)
-            if unparseable:
-                log.warning("%s: %d unparseable cells in numeric column '%s' "
-                            "treated as missing", path, unparseable, name)
-            schema = ColumnSchema(name, NUMERIC, missing_count=int(missing.sum()))
+            schema = ColumnSchema(name, NUMERIC)
+        codes, missing, unparseable = _encode(values, schema)
+        _warn_unparseable(path, name, unparseable)
         if missing.all():
             log.warning("%s: column '%s' is entirely missing, dropped", path, name)
             continue
+        schema.missing_count = int(missing.sum())
         schemas.append(schema)
         feature_cols.append(codes)
         feature_missing.append(missing)
-        cat_flags.append(kind == CATEGORICAL)
 
     if not feature_cols:
         raise ValueError(f"{path}: no usable feature columns")
@@ -161,63 +174,43 @@ def ingest_csv(path, target: str,
     t_values = columns[target]
     if any(_is_missing(v) for v in t_values):
         raise ValueError(f"{path}: target column '{target}' has missing cells")
-    t_kind = overrides.get(target) or infer_column_kind(t_values, n)
-    if t_kind == CATEGORICAL:
-        labels_f, _, mapping = _encode_categorical(t_values)
-        labels = labels_f.astype(int)
-        ds = Dataset(
-            X=Tensor(np.stack(feature_cols, axis=1)),
-            y_values=Tensor(labels.astype(np.float64)),
-            y_labels=labels,
-            cat_mask=np.array(cat_flags),
-            task=CLASSIFICATION,
-            n_classes=len(mapping),
-            missing_mask=np.stack(feature_missing, axis=1))
-        schemas.append(ColumnSchema(target, TARGET, categories=mapping,
-                                    target_task=CLASSIFICATION))
+    if (overrides.get(target) or infer_column_kind(t_values, n)) == CATEGORICAL:
+        t_schema = ColumnSchema(target, TARGET, categories=_categories(t_values),
+                                target_task=CLASSIFICATION)
     else:
-        y = np.array([float(v) for v in t_values])
-        ds = Dataset(
-            X=Tensor(np.stack(feature_cols, axis=1)),
-            y_values=Tensor(y),
-            y_labels=None,
-            cat_mask=np.array(cat_flags),
-            task=REGRESSION,
-            missing_mask=np.stack(feature_missing, axis=1))
-        schemas.append(ColumnSchema(target, TARGET, target_task=REGRESSION))
-    return ds, schemas
+        t_schema = ColumnSchema(target, TARGET, target_task=REGRESSION)
+    y, _, unparseable = _encode(t_values, t_schema)
+    if unparseable:
+        raise ValueError(f"{path}: target column '{target}' has {unparseable} "
+                         "cells that do not parse as numbers")
+    classification = t_schema.target_task == CLASSIFICATION
+    ds = Dataset(
+        X=Tensor(np.stack(feature_cols, axis=1)),
+        y_values=Tensor(y),
+        y_labels=y.astype(int) if classification else None,
+        cat_mask=np.array([s.kind == CATEGORICAL for s in schemas]),
+        task=t_schema.target_task,
+        n_classes=len(t_schema.categories) if classification else None,
+        missing_mask=np.stack(feature_missing, axis=1))
+    return ds, schemas + [t_schema]
 
 
 def ingest_features_with_schema(path, schemas: list[ColumnSchema]
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """Parse a feature-only CSV using a previously inferred schema (the
-    training file's encoding). Unseen category strings become missing cells."""
-    header, rows = read_table(path)
-    n = len(rows)
-    columns = {name: [row[j] if j < len(row) else "" for row in rows]
-               for j, name in enumerate(header)}
+    training file's encoding). Unseen category strings become missing cells,
+    and so do unparseable numeric cells, with a warning."""
+    columns, _ = _read_columns(path)
     feats, missing = [], []
     for schema in schemas:
         if schema.kind == TARGET:
             continue
         if schema.name not in columns:
             raise ValueError(f"{path}: column '{schema.name}' missing")
-        values = columns[schema.name]
-        if schema.kind == CATEGORICAL:
-            codes = np.zeros(n)
-            miss = np.zeros(n, dtype=bool)
-            for i, raw in enumerate(values):
-                key = raw.strip()
-                if _is_missing(raw) or key not in schema.categories:
-                    miss[i] = True
-                else:
-                    codes[i] = schema.categories[key]
-            feats.append(codes)
-            missing.append(miss)
-        else:
-            codes, miss, _ = _encode_numeric(values)
-            feats.append(codes)
-            missing.append(miss)
+        codes, miss, unparseable = _encode(columns[schema.name], schema)
+        _warn_unparseable(path, schema.name, unparseable)
+        feats.append(codes)
+        missing.append(miss)
     return np.stack(feats, axis=1), np.stack(missing, axis=1)
 
 

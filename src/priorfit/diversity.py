@@ -17,7 +17,6 @@ import dataclasses
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 from .agents import AgentConfig, AgentState, ascend_or_reset
 from .model import Model
 from .prior import (CLASSIFICATION, Dataset, GeneratorHyperSpace,
@@ -120,11 +119,7 @@ def build_adversarial_collection(model: Model, space, agent_cfg: AgentConfig,
             T.zero_grads(model.parameters() + agent.parameters())
             agent.reset(reason="nan-gradients")
             continue
-        out.append(Dataset(X=Tensor(ds.X.data.copy()),
-                           y_values=Tensor(ds.y_values.data.copy()),
-                           y_labels=None if ds.y_labels is None else ds.y_labels.copy(),
-                           cat_mask=ds.cat_mask.copy(), task=ds.task,
-                           n_classes=ds.n_classes))
+        out.append(ds.take())  # detached from the tape
         agent.maybe_reset()
     return out
 

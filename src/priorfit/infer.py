@@ -6,14 +6,20 @@ entry point). Test rows are normalized with statistics from the training
 rows only, so nothing leaks backward. `predict` composes, in this order:
 
 1. features above FEATURE_BUDGET are uniformly subsampled, the same columns
-   on both splits;
+   on both splits (`subsample_features` draws the column indices);
 2. the training rows are split into contiguous batches of at most BATCH_CAP
-   over a seeded shuffle (one batch keeps the rows as given);
+   over a seeded shuffle (`batch_rows` draws the row indices; one batch
+   keeps the rows as given);
 3. each of `ensemble` members predicts every batch under its own feature
    permutation (the first member keeps the identity order);
 4. a member's batches combine: class probabilities mix in proportion to
    batch size, Gaussian batches through the inverse-variance estimator;
 5. the members combine: class probabilities average, Gaussians moment-match.
+
+Steps 1-3 each select with their own `Dataset.take` (columns, then rows,
+then the permutation; the test arrays likewise). The order is part of the
+numerics: a numpy column selection is Fortran-ordered, and the column means
+of the two layouts can differ in the last bit.
 
 Test rows attend only to training rows, so the pass runs in two phases that
 together equal the joint masked pass: the training context is encoded once
@@ -31,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,41 +58,27 @@ class ZeroUpdateViolation(RuntimeError):
     pass
 
 
-@dataclass
-class BatchPlan:
-    """Contiguous batches over a seeded shuffle of the training rows, with
-    weights proportional to batch size. A single batch keeps the row order
-    and draws nothing from rng."""
-
-    order: np.ndarray
-    ranges: list[tuple[int, int]]
-    weights: np.ndarray
-
-    @classmethod
-    def build(cls, n_train: int, cap: int = BATCH_CAP,
-              rng: Optional[np.random.Generator] = None) -> "BatchPlan":
-        if n_train < 1:
-            raise ValueError("cannot plan batches over zero training rows")
-        shuffle = rng is not None and n_train > cap
-        order = rng.permutation(n_train) if shuffle else np.arange(n_train)
-        ranges = [(s, min(s + cap, n_train)) for s in range(0, n_train, cap)]
-        sizes = np.array([e - s for s, e in ranges], dtype=np.float64)
-        return cls(order=order, ranges=ranges, weights=sizes / sizes.sum())
+def batch_rows(n: int, rng: np.random.Generator) -> list:
+    """The training rows of each batch: contiguous runs of at most BATCH_CAP
+    over a shuffle drawn from rng. A single batch is [None], all rows in the
+    given order, and draws nothing from rng."""
+    if n < 1:
+        raise ValueError("cannot batch zero training rows")
+    if n <= BATCH_CAP:
+        return [None]
+    order = rng.permutation(n)
+    return [order[s:s + BATCH_CAP] for s in range(0, n, BATCH_CAP)]
 
 
-def subsample_features(x: np.ndarray, budget: int = FEATURE_BUDGET,
-                       rng: Optional[np.random.Generator] = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform feature selection without replacement; identity when the
-    feature count is within budget. Returns (matrix, selected indices) so the
-    same selection can be applied to the other split."""
-    d = x.shape[1]
-    if d <= budget:
-        return x, np.arange(d)
+def subsample_features(d: int, rng: Optional[np.random.Generator] = None
+                       ) -> np.ndarray:
+    """Sorted indices of FEATURE_BUDGET of the d columns, drawn uniformly
+    without replacement; all columns when d is within budget."""
+    if d <= FEATURE_BUDGET:
+        return np.arange(d)
     if rng is None:
         raise ValueError("subsampling above the budget needs a seeded generator")
-    idx = np.sort(rng.choice(d, size=budget, replace=False))
-    return x[:, idx], idx
+    return np.sort(rng.choice(d, size=FEATURE_BUDGET, replace=False))
 
 
 def _column_stats(x: np.ndarray, missing: Optional[np.ndarray]):
@@ -184,38 +175,18 @@ def _checked(model: Model, fn):
     return out
 
 
-def _take_columns(ds: Dataset, cols: np.ndarray) -> Dataset:
-    return Dataset(
-        X=Tensor(ds.X.data[:, cols]), y_values=ds.y_values, y_labels=ds.y_labels,
-        cat_mask=ds.cat_mask[cols], task=ds.task, n_classes=ds.n_classes,
-        missing_mask=None if ds.missing_mask is None else ds.missing_mask[:, cols])
-
-
-def _take_rows(ds: Dataset, rows: np.ndarray) -> Dataset:
-    return Dataset(
-        X=Tensor(ds.X.data[rows]),
-        y_values=Tensor(ds.y_values.data[rows]),
-        y_labels=None if ds.y_labels is None else ds.y_labels[rows],
-        cat_mask=ds.cat_mask, task=ds.task, n_classes=ds.n_classes,
-        missing_mask=None if ds.missing_mask is None else ds.missing_mask[rows])
-
-
-def _take_test_columns(x: np.ndarray, missing: Optional[np.ndarray],
-                       cols: np.ndarray):
-    return x[:, cols], None if missing is None else missing[:, cols]
-
-
-def _combine_batches(parts: list[Prediction], batches: list[Dataset],
-                     weights: np.ndarray) -> Prediction:
+def _combine_batches(parts: list[Prediction], batches: list[Dataset]
+                     ) -> Prediction:
     """One member's prediction from its per-batch predictions: class
-    distributions mix by batch weight; Gaussians combine by inverse variance,
-    sigma = (sum of sigma^-2)^-1/2."""
+    distributions mix in proportion to batch size; Gaussians combine by
+    inverse variance, sigma = (sum of sigma^-2)^-1/2."""
     if len(parts) == 1:
         return parts[0]
     if parts[0].task == CLASSIFICATION:
         classes = np.unique(np.concatenate([p.classes for p in parts]))
         mixed = np.zeros((parts[0].probs.shape[0], classes.size))
-        for part, w in zip(parts, weights):
+        sizes = np.array([b.n for b in batches], dtype=np.float64)
+        for part, w in zip(parts, sizes / sizes.sum()):
             mixed[:, np.searchsorted(classes, part.classes)] += w * part.probs
         return Prediction(task=CLASSIFICATION, probs=mixed, classes=classes)
     mu = np.stack([p.mu for p in parts])
@@ -267,25 +238,24 @@ def predict(model: Model, train: Dataset, test_x: np.ndarray,
     if test_x.shape[1] != train.d:
         raise ValueError(f"test rows have {test_x.shape[1]} features, "
                          f"training rows have {train.d}")
+
+    def columns(a, cols):  # a test array under the same column selection
+        return a if a is None or cols is None else a[:, cols]
+
     if train.d > FEATURE_BUDGET:
-        _, idx = subsample_features(train.X.data, FEATURE_BUDGET,
-                                    derive_rng(seed, NS_EVAL, 3))
-        train = _take_columns(train, idx)
-        test_x, test_missing = _take_test_columns(test_x, test_missing, idx)
-    plan = BatchPlan.build(train.n, BATCH_CAP, derive_rng(seed, NS_EVAL, 2))
-    batches = [train] if len(plan.ranges) == 1 else [
-        _take_rows(train, plan.order[s:e]) for s, e in plan.ranges]
+        idx = subsample_features(train.d, derive_rng(seed, NS_EVAL, 3))
+        train = train.take(cols=idx)
+        test_x, test_missing = columns(test_x, idx), columns(test_missing, idx)
+    batches = [train.take(rows)
+               for rows in batch_rows(train.n, derive_rng(seed, NS_EVAL, 2))]
     permutations = derive_rng(seed, NS_EVAL, 1)
     orders = [None] + [permutations.permutation(train.d) for _ in range(ensemble - 1)]
 
     def member(cols, checksum) -> Prediction:
-        parts, x, missing = batches, test_x, test_missing
-        if cols is not None:
-            parts = [_take_columns(b, cols) for b in batches]
-            x, missing = _take_test_columns(test_x, test_missing, cols)
+        x, missing = columns(test_x, cols), columns(test_missing, cols)
         return _combine_batches(
-            [_forward_prediction(model, b, x, missing, checksum) for b in parts],
-            batches, plan.weights)
+            [_forward_prediction(model, b.take(cols=cols), x, missing, checksum)
+             for b in batches], batches)
 
     return _checked(model, lambda checksum: _combine_members(
         [member(cols, checksum) for cols in orders]))

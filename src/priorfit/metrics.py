@@ -10,7 +10,7 @@ level), and the mean across datasets of the per-dataset std (dataset level).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,17 +26,11 @@ def binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("binary AUC needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = ranks[positive].sum()
+    if not np.isfinite(scores).all():
+        raise ValueError("binary AUC needs finite scores")
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = np.cumsum(counts) - (counts - 1) / 2.0  # ties share their mean rank
+    rank_sum = ranks[group][positive].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -112,7 +106,6 @@ class MetricReport:
     ranks: np.ndarray                  # same shape
     wins: np.ndarray                   # (n_algorithms,)
     higher_is_better: bool = True
-    timing: dict = field(default_factory=dict)
 
     def rank_summary(self) -> dict[str, dict[str, float]]:
         out = {}
@@ -126,8 +119,7 @@ class MetricReport:
 
 def rank_and_wins(scores: np.ndarray, algorithms: list[str],
                   datasets: Optional[list[str]] = None,
-                  higher_is_better: bool = True,
-                  timing: Optional[dict] = None) -> MetricReport:
+                  higher_is_better: bool = True) -> MetricReport:
     """Build the rank/wins report from a complete (datasets x algorithms)
     score matrix. Ties share the best rank and each first place is a win."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -138,7 +130,7 @@ def rank_and_wins(scores: np.ndarray, algorithms: list[str],
     names = datasets or [f"dataset_{i}" for i in range(scores.shape[0])]
     return MetricReport(algorithms=list(algorithms), datasets=list(names),
                         scores=scores, ranks=ranks, wins=wins,
-                        higher_is_better=higher_is_better, timing=timing or {})
+                        higher_is_better=higher_is_better)
 
 
 def score_summary(matrix: np.ndarray) -> dict[str, float]:

@@ -21,7 +21,7 @@ does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -166,6 +166,22 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    def take(self, rows=None, cols=None) -> "Dataset":
+        """The rows, then the columns, named by two index arrays (None keeps
+        all, without indexing), as fresh Tensors with no gradient. The masks
+        and labels follow their rows and columns."""
+        x, y = self.X.data, self.y_values.data
+        labels, cat, missing = self.y_labels, self.cat_mask, self.missing_mask
+        if rows is not None:
+            x, y = x[rows], y[rows]
+            labels = None if labels is None else labels[rows]
+            missing = None if missing is None else missing[rows]
+        if cols is not None:
+            x, cat = x[:, cols], cat[cols]
+            missing = None if missing is None else missing[:, cols]
+        return replace(self, X=Tensor(x), y_values=Tensor(y), y_labels=labels,
+                       cat_mask=cat, missing_mask=missing)
 
 
 _ACTIVATIONS = {"tanh": T.tanh, "relu": T.relu, "gelu": T.gelu}
@@ -313,8 +329,7 @@ def normalize_dataset(d: Dataset) -> Dataset:
     x = normalize_columns(d.X)
     y = normalize_columns(T.reshape(d.y_values, (-1, 1)))
     y = T.reshape(y, (-1,)) if d.task == REGRESSION else d.y_values
-    return Dataset(X=x, y_values=y, y_labels=d.y_labels, cat_mask=d.cat_mask,
-                   task=d.task, n_classes=d.n_classes, missing_mask=d.missing_mask)
+    return replace(d, X=x, y_values=y)
 
 
 def generate_dataset(g: GeneratorInstance, n: int, seed: int,

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,11 @@ class TestIngest:
         target = next(s for s in schemas if s.kind == "target")
         assert target.categories == {"cat": 0, "dog": 1}
 
+    def test_unparseable_numeric_target_rejected(self, tmp_path):
+        path = write(tmp_path, "t.csv", "a,y\n1,2.5\n2,oops\n")
+        with pytest.raises(ValueError, match="do not parse"):
+            ingest_csv(path, target="y", overrides={"y": "numeric"})
+
     def test_numeric_target_is_regression(self, tmp_path):
         rows = "\n".join(f"{i},{i * 1.7}" for i in range(50))
         path = write(tmp_path, "t.csv", "a,y\n" + rows + "\n")
@@ -107,6 +114,19 @@ class TestSchemaReuse:
         x, missing = ingest_features_with_schema(test, schemas)
         np.testing.assert_array_equal(x[:, 0], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(missing[:, 0], [False, True, False])
+
+    def test_unparseable_numeric_cell_missing_with_warning(self, tmp_path, caplog):
+        rows = "\n".join(f"{i * 0.37},{i % 2}" for i in range(30))
+        train = write(tmp_path, "train.csv", "a,y\n" + rows + "\n")
+        _, schemas = ingest_csv(train, target="y")
+        assert schemas[0].kind == "numeric"
+        test = write(tmp_path, "test.csv", "a\n1.5\noops\n2.5\n")
+        with caplog.at_level(logging.WARNING, logger="priorfit.data_io"):
+            x, missing = ingest_features_with_schema(test, schemas)
+        np.testing.assert_array_equal(missing[:, 0], [False, True, False])
+        np.testing.assert_array_equal(x[[0, 2], 0], [1.5, 2.5])
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warned) == 1 and "column 'a'" in warned[0]
 
     def test_column_absent_rejected(self, tmp_path):
         train = write(tmp_path, "train.csv", "f,y\na,0\nb,1\n")

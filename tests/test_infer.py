@@ -12,7 +12,7 @@ from priorfit.model import Model, ModelConfig, Prediction
 from priorfit.prior import CLASSIFICATION, REGRESSION, Dataset
 from priorfit import infer
 from priorfit.data_io import ingest_csv, ingest_features_with_schema
-from priorfit.infer import (BatchPlan, normalize_train_test, predict,
+from priorfit.infer import (batch_rows, normalize_train_test, predict,
                             subsample_features)
 from priorfit.seeding import NS_EVAL, derive_rng
 
@@ -66,27 +66,26 @@ class TestNormalizeTrainTest:
 
 class TestSubsampleFeatures:
     def test_identity_at_budget(self):
-        x = np.arange(20.0).reshape(2, 10)
-        out, idx = subsample_features(x, budget=10)
-        np.testing.assert_array_equal(out, x)
-        np.testing.assert_array_equal(idx, np.arange(10))
+        x = np.arange(2.0 * infer.FEATURE_BUDGET).reshape(2, -1)
+        idx = subsample_features(x.shape[1])
+        np.testing.assert_array_equal(x[:, idx], x)
+        np.testing.assert_array_equal(idx, np.arange(infer.FEATURE_BUDGET))
 
     def test_above_budget_selects_distinct(self):
         rng = np.random.default_rng(0)
         x = np.zeros((3, 150))
-        out, idx = subsample_features(x, budget=100, rng=rng)
-        assert out.shape == (3, 100)
+        idx = subsample_features(x.shape[1], rng=rng)
+        assert x[:, idx].shape == (3, 100)
         assert np.unique(idx).size == 100
 
     def test_seeded_reproducible(self):
-        x = np.zeros((2, 150))
-        _, a = subsample_features(x, 100, np.random.default_rng(7))
-        _, b = subsample_features(x, 100, np.random.default_rng(7))
+        a = subsample_features(150, np.random.default_rng(7))
+        b = subsample_features(150, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_needs_rng_above_budget(self):
         with pytest.raises(ValueError):
-            subsample_features(np.zeros((2, 150)), budget=100)
+            subsample_features(150)
 
 
 class TestPredict:
@@ -163,32 +162,39 @@ class TestPredict:
                       <= 4.5 * max(spread, 1.0))
 
 
-class TestBatchPlan:
-    def test_single_batch_when_under_cap(self):
-        plan = BatchPlan.build(10, cap=3000)
-        assert plan.ranges == [(0, 10)]
-        np.testing.assert_allclose(plan.weights, [1.0])
+class TestBatchRows:
+    def test_single_batch_when_under_cap(self, monkeypatch):
+        assert batch_rows(10, np.random.default_rng(0)) == [None]
         # one batch keeps the given row order and draws nothing
+        monkeypatch.setattr(infer, "BATCH_CAP", 10)
         rng = np.random.default_rng(3)
-        plan = BatchPlan.build(10, cap=10, rng=rng)
-        np.testing.assert_array_equal(plan.order, np.arange(10))
+        assert batch_rows(10, rng) == [None]
         assert rng.random() == np.random.default_rng(3).random()
 
-    def test_weights_proportional_to_sizes(self):
-        plan = BatchPlan.build(7, cap=3)
-        assert plan.ranges == [(0, 3), (3, 6), (6, 7)]
-        np.testing.assert_allclose(plan.weights, [3 / 7, 3 / 7, 1 / 7])
-        assert plan.weights.sum() == pytest.approx(1.0)
+    def test_weights_proportional_to_sizes(self, monkeypatch):
+        monkeypatch.setattr(infer, "BATCH_CAP", 3)
+        rows = batch_rows(7, np.random.default_rng(0))
+        assert [r.size for r in rows] == [3, 3, 1]
+        np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(7))
+        # a batch's weight in the mixture is its share of the rows
+        train = class_train(np.random.default_rng(4), n=7)
+        onehot = [Prediction(task=CLASSIFICATION, probs=np.eye(3)[[k]],
+                             classes=np.arange(3)) for k in range(3)]
+        weights = infer._combine_batches(onehot, [train.take(r) for r in rows]).probs[0]
+        np.testing.assert_allclose(weights, [3 / 7, 3 / 7, 1 / 7])
+        assert weights.sum() == pytest.approx(1.0)
 
-    def test_shuffle_is_seeded(self):
-        a = BatchPlan.build(20, cap=5, rng=np.random.default_rng(3))
-        b = BatchPlan.build(20, cap=5, rng=np.random.default_rng(3))
-        np.testing.assert_array_equal(a.order, b.order)
+    def test_shuffle_is_seeded(self, monkeypatch):
+        monkeypatch.setattr(infer, "BATCH_CAP", 5)
+        a = batch_rows(20, np.random.default_rng(3))
+        b = batch_rows(20, np.random.default_rng(3))
+        np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
 
 
-def plan_order(n, seed=0):
-    """The row order of the batch plan predict draws for seed."""
-    return BatchPlan.build(n, infer.BATCH_CAP, derive_rng(seed, NS_EVAL, 2)).order
+def batch_order(n, seed=0):
+    """The training rows of the batches predict draws for seed, batch after
+    batch."""
+    return np.concatenate(batch_rows(n, derive_rng(seed, NS_EVAL, 2)))
 
 
 def scripted_forward(monkeypatch, scripted):
@@ -213,8 +219,8 @@ class TestAggregateClassification:
         monkeypatch.setattr(infer, "BATCH_CAP", 10)
         rng = np.random.default_rng(8)
         half = class_train(rng, n=10)
-        order = plan_order(20)
-        rows = np.empty(20, dtype=int)  # both batches of the plan hold half, in order
+        order = batch_order(20)
+        rows = np.empty(20, dtype=int)  # both batches predict draws hold half, in order
         rows[order] = np.tile(np.arange(10), 2)
         doubled = Dataset(
             X=Tensor(half.X.data[rows]), y_values=Tensor(half.y_values.data[rows]),
@@ -290,8 +296,8 @@ class TestAggregateRegression:
         rng = np.random.default_rng(14)
         train = regr_train(rng, n=18)
         test = rng.standard_normal((4, 3))
-        order = plan_order(18, seed=2)
-        members = np.stack([predict(MODEL, infer._take_rows(train, order[s:s + 6]),
+        order = batch_order(18, seed=2)
+        members = np.stack([predict(MODEL, train.take(order[s:s + 6]),
                                     test).mu for s in (0, 6, 12)])
         out = predict(MODEL, train, test, seed=2).mu
         assert np.all(out >= members.min(axis=0) - 1e-12)

@@ -36,6 +36,22 @@ def ovo_counting_oracle(probs, labels, classes=None):
     return float(np.mean(totals))
 
 
+def tie_loop_auc(scores, positive):
+    """Reference binary AUC: ranks from a sorted walk over tie groups, each
+    group at its mean rank."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(positive.sum())
+    return (ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (scores.size - n_pos))
+
+
 def rank_sorting_oracle(scores, higher_is_better=True):
     """Independent sort-based ranks: one plus the count of strictly better
     distinct scores; absent scores land after every real one."""
@@ -65,6 +81,22 @@ class TestBinaryAUC:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             binary_auc(np.array([0.5, 0.4]), np.array([1, 1], bool))
+
+    @pytest.mark.parametrize("levels", [2, 5, None])
+    def test_equals_tie_loop_reference(self, levels):
+        rng = np.random.default_rng(levels or 0)
+        for _ in range(200):
+            n = int(rng.integers(2, 120))
+            scores = (rng.integers(0, levels, n) / 7 if levels
+                      else rng.standard_normal(n))
+            positive = rng.random(n) < 0.4
+            positive[0], positive[-1] = True, False
+            assert binary_auc(scores, positive) == tie_loop_auc(scores, positive)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite scores"):
+            binary_auc(np.array([0.5, bad, 0.1]), np.array([1, 0, 0], bool))
 
 
 class TestOvoAuc:

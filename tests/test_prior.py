@@ -174,6 +174,45 @@ class TestNormalize:
         assert np.all(np.abs(means[unclipped]) <= 1e-9)
 
 
+class TestDatasetTake:
+    def make(self):
+        x = np.arange(40.0).reshape(8, 5)
+        return Dataset(X=T.Tensor(x, requires_grad=True),
+                       y_values=T.Tensor(np.arange(8.0) / 2), y_labels=np.arange(8),
+                       cat_mask=np.array([True, False, True, False, False]),
+                       task=CLASSIFICATION, n_classes=8, missing_mask=x % 3 == 0)
+
+    def test_rows_taken_before_columns(self):
+        ds, rows, cols = self.make(), [5, 1, 2], [4, 0]
+        out = ds.take(rows, cols)
+        expected = ds.X.data[rows][:, cols]
+        np.testing.assert_array_equal(out.X.data, expected)
+        # the layout of a row selection followed by a column selection
+        assert out.X.data.strides == expected.strides
+        np.testing.assert_array_equal(out.y_labels, rows)
+        np.testing.assert_array_equal(out.y_values.data, np.array(rows) / 2)
+        np.testing.assert_array_equal(out.missing_mask, ds.missing_mask[rows][:, cols])
+
+    def test_none_index_skipped(self):
+        ds = self.make()
+        whole = ds.take()
+        assert whole.X.data is ds.X.data and whole.y_labels is ds.y_labels
+        assert whole.X is not ds.X and whole.y_values is not ds.y_values
+        assert not whole.X.requires_grad
+        by_cols = ds.take(cols=[1])
+        assert by_cols.y_labels is ds.y_labels and by_cols.n == ds.n
+        by_rows = ds.take(rows=[3])
+        assert by_rows.cat_mask is ds.cat_mask and by_rows.d == ds.d
+        assert (by_rows.task, by_rows.n_classes) == (CLASSIFICATION, 8)
+
+    def test_masks_follow_columns(self):
+        ds = self.make()
+        out = ds.take(cols=[2, 0, 3])
+        np.testing.assert_array_equal(out.cat_mask, [True, True, False])
+        np.testing.assert_array_equal(out.missing_mask, ds.missing_mask[:, [2, 0, 3]])
+        np.testing.assert_array_equal(out.X.data, ds.X.data[:, [2, 0, 3]])
+
+
 class TestSampleGenerator:
     def space(self, **kw):
         return GeneratorHyperSpace(**kw)
