@@ -18,7 +18,9 @@ The prediction runs use the criterion-12 checkpoint: CLI `predict` of a
 classification and a regression table with 3 and with 105 features (blank
 cells and categorical columns in both files), at `--ensemble` 1 and 3, with
 `infer.BATCH_CAP` at its default and at 50; the `evaluate` NDJSON of a
-4-file suite; and the `analyze-prior` outputs. Only long-standing names are
+4-file suite; and the `analyze-prior` outputs. Last come CLI `predict` of a
+classification and a regression table with 3 features on the float32 desk
+checkpoint, the one path that predicts in float32. Only long-standing names are
 used (`cli.main`, `export_csv`, `pretrain`, `generate_dataset`,
 `infer.BATCH_CAP`), so one command covers both trees of a refactor.
 """
@@ -81,35 +83,40 @@ def export_table(path: Path, classification: bool, d: int, n: int,
     export_csv(ds, path)
 
 
+def split_table(work: Path, classification: bool, d: int) -> None:
+    """Write train.csv and test.csv of a fixed-seed table with d features."""
+    n = PREDICT_TRAIN_ROWS
+    export_table(work / "table.csv", classification, d, n + PREDICT_TEST_ROWS, seed=d)
+    header, *rows = (work / "table.csv").read_text().splitlines(True)
+    (work / "train.csv").write_text(header + "".join(rows[:n]))
+    (work / "test.csv").write_text(header + "".join(rows[n:]))
+
+
+def predict_argv(work: Path, checkpoint: Path) -> list:
+    return ["predict", "--checkpoint", str(checkpoint), "--train", str(work / "train.csv"),
+            "--test", str(work / "test.csv"), "--target", "target", "--seed", "3",
+            "--output", str(work / "predictions.csv")]
+
+
 def prediction_hashes(work: Path, checkpoint: Path) -> None:
     from priorfit import infer
 
     default_cap = infer.BATCH_CAP
-    n = PREDICT_TRAIN_ROWS
     for classification in (True, False):
         task = "class" if classification else "regr"
         for d in (3, 105):
-            export_table(work / "table.csv", classification, d,
-                         n + PREDICT_TEST_ROWS, seed=d)
-            header, *rows = (work / "table.csv").read_text().splitlines(True)
-            (work / "train.csv").write_text(header + "".join(rows[:n]))
-            (work / "test.csv").write_text(header + "".join(rows[n:]))
+            split_table(work, classification, d)
             for cap in (default_cap, SMALL_BATCH_CAP):
                 for ensemble in (1, 3):
-                    out = work / "predictions.csv"
                     infer.BATCH_CAP = cap
                     try:
-                        quiet_cli(["predict", "--checkpoint", str(checkpoint),
-                                   "--train", str(work / "train.csv"),
-                                   "--test", str(work / "test.csv"),
-                                   "--target", "target", "--seed", "3",
-                                   "--ensemble", str(ensemble),
-                                   "--output", str(out)])
+                        quiet_cli(predict_argv(work, checkpoint)
+                                  + ["--ensemble", str(ensemble)])
                     finally:
                         infer.BATCH_CAP = default_cap
                     cap_name = "default" if cap == default_cap else str(cap)
                     label = f"predict_{task}_d{d}_e{ensemble}_cap_{cap_name}"
-                    print(f"{label:<34} {sha256(out)}")
+                    print(f"{label:<34} {sha256(work / 'predictions.csv')}")
 
     suite = work / "suite"
     suite.mkdir()
@@ -173,6 +180,12 @@ def main(src: Path) -> int:
                    "--output", str(work / "prior")])
         for name in ("diversity.json", "density_grids.npz"):
             print(f"{'analyze_prior_' + name:<34} {sha256(work / 'prior' / name)}")
+
+        for classification in (True, False):
+            split_table(work, classification, d=3)
+            quiet_cli(predict_argv(work, work / "desk.npz"))
+            task = "class" if classification else "regr"
+            print(f"{'predict_desk_' + task + '_d3':<34} {sha256(work / 'predictions.csv')}")
     return 0
 
 

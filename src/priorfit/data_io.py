@@ -40,7 +40,6 @@ class ColumnSchema:
     name: str
     kind: str                                   # numeric | categorical | target
     categories: Optional[dict[str, int]] = None
-    missing_tokens: frozenset = MISSING_TOKENS
     missing_count: int = 0
     target_task: Optional[str] = None           # set on the target column
 

@@ -30,6 +30,14 @@ model config, the default dtype and a blake2b digest of the normalized
 training block and its label values with their shapes and dtypes. It holds
 n_blocks x 2 x n_train x d_model floats of keys and values (plus the final
 training states and the two mixture key projections, 3 x n_train x d_model).
+
+The forward pass runs at the model's parameter dtype (`Model.dtype`): the
+encode and decode run with it as the default dtype, so inputs, padding, gate
+masks, scalar constants and the cache key follow the checkpoint and a
+float32 checkpoint runs float32 GEMMs. Subsetting, normalization and label
+scaling before the pass and the combination of batches and members after it
+stay float64, and so do the predictions. In float64 the result equals the
+joint masked pass within 1e-12.
 """
 
 from __future__ import annotations
@@ -138,7 +146,9 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
                         test_missing: Optional[np.ndarray], checksum: int
                         ) -> Prediction:
     """Encode the training context (or take it from the cache; checksum is
-    the caller's model checksum), then decode the test rows in chunks."""
+    the caller's model checksum), then decode the test rows in chunks at the
+    model's dtype. Normalization runs before, in float64, and head outputs
+    leave the pass as float64."""
     train_xn, test_xn = normalize_train_test(
         train.X.data, test_x, train.missing_mask, test_missing)
 
@@ -150,19 +160,21 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
         y_mu, y_sd = y_raw.mean(), y_raw.std()
         scale = y_sd if y_sd > 0 else 1.0
         y_train = np.clip((y_raw - y_mu) / scale, -4.0, 4.0)
-    context = _encode(model, checksum, train_xn, y_train)
 
-    def decoded(head) -> list:  # head outputs, QUERY_CHUNK test rows at a time
-        return [head(model.decode(Tensor(test_xn[None, s:s + QUERY_CHUNK]), context))
-                for s in range(0, max(test_xn.shape[0], 1), QUERY_CHUNK)]
+    with T.dtype_scope(model.dtype):
+        context = _encode(model, checksum, train_xn, y_train)
 
-    if train.task == CLASSIFICATION:
-        probs = decoded(lambda h: model.class_head(
-            h, 0, train01[None], classes.size, keys=context.mixture_keys).data[0])
-        return Prediction(task=CLASSIFICATION, probs=np.concatenate(probs),
-                          classes=classes)
-    parts = decoded(lambda h: [t.data[0] for t in model.gaussian_head(h, 0)])
-    mu, sigma = (np.concatenate(p) for p in zip(*parts))
+        def decoded(head) -> list:  # head outputs, QUERY_CHUNK test rows at a time
+            return [head(model.decode(Tensor(test_xn[None, s:s + QUERY_CHUNK]), context))
+                    for s in range(0, max(test_xn.shape[0], 1), QUERY_CHUNK)]
+
+        if train.task == CLASSIFICATION:
+            probs = decoded(lambda h: model.class_head(
+                h, 0, train01[None], classes.size, keys=context.mixture_keys).data[0])
+            return Prediction(task=CLASSIFICATION, classes=classes,
+                              probs=np.concatenate(probs, dtype=np.float64))
+        parts = decoded(lambda h: [t.data[0] for t in model.gaussian_head(h, 0)])
+    mu, sigma = (np.concatenate(p, dtype=np.float64) for p in zip(*parts))
     return Prediction(task=REGRESSION, mu=mu * scale + y_mu, sigma=sigma * scale)
 
 

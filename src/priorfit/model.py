@@ -144,6 +144,18 @@ class Model:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The one dtype every parameter holds; a mix is refused, naming the
+        parameters of each dtype."""
+        names: dict[np.dtype, list[str]] = {}
+        for name, t in self.params.items():
+            names.setdefault(t.data.dtype, []).append(name)
+        if len(names) > 1:
+            raise ValueError("model parameters mix dtypes: " + "; ".join(
+                f"{dtype}: {', '.join(group)}" for dtype, group in names.items()))
+        return next(iter(names))
+
     def checksum(self) -> int:
         crc = 0
         for name in self.params:

@@ -15,6 +15,7 @@ inspection only.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +38,18 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _DEFAULT_DTYPE
+
+
+@contextlib.contextmanager
+def dtype_scope(dtype):
+    """Make dtype the default for the body; the previous default is restored
+    on exit, also when the body raises."""
+    prev = _DEFAULT_DTYPE
+    set_default_dtype(dtype)
+    try:
+        yield
+    finally:
+        set_default_dtype(prev)
 
 
 class TensorError(Exception):

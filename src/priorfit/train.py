@@ -15,6 +15,7 @@ stream an uninterrupted run would have produced.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -358,10 +359,7 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
     stop_after_steps interrupts the run early (checkpoint still written) so
     the same configured run can be continued later with resume_from.
     """
-    prev_dtype = T.default_dtype()
-    T.set_default_dtype(np.float32 if cfg.dtype == "float32" else np.float64)
-    train_log = TrainLog(log_path)
-    try:
+    with T.dtype_scope(cfg.dtype), contextlib.closing(TrainLog(log_path)) as train_log:
         steps = math.ceil(cfg.total_datasets / cfg.effective_batch)
         agents = make_agents(cfg.datasets_per_step, space, cfg.seed, agent_cfg)
         if resume_from is not None:
@@ -389,6 +387,3 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
                     train_log.append({"step": step, "eval": metrics})
                 write_checkpoint(step + 1)
         return model, train_log
-    finally:
-        T.set_default_dtype(prev_dtype)
-        train_log.close()

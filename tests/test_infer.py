@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from priorfit import tensor as T
 from priorfit.tensor import Tensor
 from priorfit.model import Model, ModelConfig, Prediction
 from priorfit.prior import CLASSIFICATION, REGRESSION, Dataset
@@ -401,8 +402,8 @@ def joint_forward(model, train, test_x):
                      sigma.data[0] * y_raw.std()])
 
 
-def predicted(model, train, test_x):
-    out = predict(model, train, test_x)
+def predicted(model, train, test_x, **kwargs):
+    out = predict(model, train, test_x, **kwargs)
     return out.probs if out.task == CLASSIFICATION else np.stack([out.mu, out.sigma])
 
 
@@ -422,6 +423,20 @@ def encodes(monkeypatch):
 
 
 CHUNK = 4
+VARIANTS = [{}, {"embed_mode": "patch"}, {"head": "dense", "n_heads": 4}]
+
+
+def variant_model(variant):
+    base = dict(d_model=16, n_blocks=2, n_heads=2, d_ff=24, feature_width=2)
+    return Model(ModelConfig(**{**base, **variant}), seed=20)
+
+
+def float32_copy(model):
+    """The model with its parameters rounded to float32."""
+    copy = Model(model.cfg, seed=model.seed)
+    for name, t in model.params.items():
+        copy.params[name].data = t.data.astype(np.float32)
+    return copy
 
 
 class TestCachedChunkedPredict:
@@ -431,12 +446,10 @@ class TestCachedChunkedPredict:
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     @pytest.mark.parametrize("n_test", [1, CHUNK, CHUNK + 1])
-    @pytest.mark.parametrize("variant", [{}, {"embed_mode": "patch"},
-                                         {"head": "dense", "n_heads": 4}])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_equals_joint_forward(self, monkeypatch, encodes, task, n_test, variant):
         monkeypatch.setattr(infer, "QUERY_CHUNK", CHUNK)
-        base = dict(d_model=16, n_blocks=2, n_heads=2, d_ff=24, feature_width=2)
-        model = Model(ModelConfig(**{**base, **variant}), seed=20)
+        model = variant_model(variant)
         rng = np.random.default_rng(20 + n_test)
         train = class_train(rng, n=15) if task == CLASSIFICATION else regr_train(rng, n=15)
         test_x = rng.standard_normal((n_test, 3))
@@ -498,6 +511,89 @@ class TestCachedChunkedPredict:
         assert not np.allclose(first, second)
         np.testing.assert_allclose(second, joint_forward(four, train, test_x),
                                    rtol=0, atol=1e-12)
+
+
+class TestPredictAtModelDtype:
+    """predict runs the forward pass at the dtype of the model's parameters
+    and leaves the process default dtype as it found it."""
+
+    # float32 keeps about 7 significant digits and two blocks lose about one
+    # more: probabilities hold to 1e-5 absolute, mu and sigma to 1e-4 of
+    # their value or, for estimates near zero, of the target's deviation
+    # (observed at most 2e-7 on probabilities; 2e-6 absolute, 7e-5 relative
+    # on mu and sigma)
+    PROB_ATOL = 1e-5
+    GAUSS_RTOL = 1e-4
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_float32_copy_matches_float64(self, monkeypatch, encodes, task, variant):
+        monkeypatch.setattr(infer, "QUERY_CHUNK", CHUNK)
+        model = variant_model(variant)
+        rng = np.random.default_rng(26)
+        train = class_train(rng, n=15) if task == CLASSIFICATION else regr_train(rng, n=15)
+        test_x = rng.standard_normal((CHUNK + 1, 3))
+        full = predicted(model, train, test_x)
+        half = predicted(float32_copy(model), train, test_x)
+        assert len(encodes) == 2
+        assert infer._encoded[1].states.data.dtype == np.float32
+        if task == CLASSIFICATION:
+            np.testing.assert_allclose(half, full, rtol=0, atol=self.PROB_ATOL)
+        else:
+            np.testing.assert_allclose(half, full, rtol=self.GAUSS_RTOL,
+                                       atol=self.GAUSS_RTOL * train.y_values.data.std())
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_large_offsets_normalize_before_the_cast(self, task):
+        """Features and targets near 1e8, where float32 values lie 8 apart,
+        are normalized in float64 before the pass: rounding them first would
+        merge the ten training levels of a feature into two and coarsen the
+        target's mean and deviation."""
+        rng = np.random.default_rng(29)
+        train = class_train(rng) if task == CLASSIFICATION else regr_train(rng)
+        x = train.X.data.copy()
+        x[:, 0] = 1e8 + np.arange(train.n) % 10
+        train = dataclasses.replace(train, X=Tensor(x),
+                                    y_values=Tensor(train.y_values.data + 1e8 * (task == REGRESSION)))
+        test_x = rng.standard_normal((6, 3))
+        test_x[:, 0] = 1e8 + np.arange(6) * 1.5
+        full = predict(MODEL, train, test_x)
+        half = predict(float32_copy(MODEL), train, test_x)
+        if task == CLASSIFICATION:
+            np.testing.assert_allclose(half.probs, full.probs, rtol=0, atol=self.PROB_ATOL)
+        else:
+            sd = train.y_values.data.std()
+            np.testing.assert_allclose(half.mu, full.mu, rtol=0, atol=self.GAUSS_RTOL * sd)
+            np.testing.assert_allclose(half.sigma, full.sigma, rtol=self.GAUSS_RTOL)
+
+    @pytest.mark.parametrize("ensemble", [1, 2])
+    def test_float32_outputs(self, monkeypatch, ensemble):
+        monkeypatch.setattr(infer, "BATCH_CAP", 12)  # two batches
+        rng = np.random.default_rng(27)
+        model = float32_copy(MODEL)
+        out = predict(model, class_train(rng), rng.standard_normal((7, 3)), ensemble=ensemble)
+        assert out.probs.dtype == np.float64  # cast from the float32 head
+        np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, rtol=0, atol=1e-6)
+        out = predict(model, regr_train(rng), rng.standard_normal((7, 3)), ensemble=ensemble)
+        assert out.mu.dtype == out.sigma.dtype == np.float64
+
+    @pytest.mark.parametrize("default", [np.float32, np.float64])
+    def test_default_dtype_restored(self, default):
+        rng = np.random.default_rng(28)
+        train = class_train(rng)
+        models = [MODEL, float32_copy(MODEL)]
+        capped = float32_copy(Model(dataclasses.replace(MODEL.cfg, head="dense",
+                                                        max_classes=2), seed=0))
+        with T.dtype_scope(default):
+            for model in models:
+                predict(model, train, rng.standard_normal((2, 3)))
+                assert T.default_dtype() is default
+                with pytest.raises(ValueError, match="features"):
+                    predict(model, train, np.zeros((2, 4)))
+                assert T.default_dtype() is default
+            with pytest.raises(ValueError, match="capped"):  # refused inside the pass
+                predict(capped, train, rng.standard_normal((2, 3)))
+            assert T.default_dtype() is default
 
 
 COLUMN_KINDS = ("numeric", "constant", "categorical", "missing")

@@ -306,6 +306,17 @@ class TestCheckpoint:
         np.testing.assert_array_equal(aux["adam/m"], np.arange(4.0))
         assert loaded.checksum() == m.checksum()
 
+    def test_dtype_follows_parameters_and_refuses_a_mix(self, tmp_path):
+        m = Model(tiny_cfg(), seed=26)
+        assert m.dtype == np.float64
+        for t in m.params.values():
+            t.data = t.data.astype(np.float32)
+        m.save(tmp_path / "model.ckpt")
+        assert Model.load(tmp_path / "model.ckpt")[0].dtype == np.float32
+        m.params["gauss/b"].data = m.params["gauss/b"].data.astype(np.float64)
+        with pytest.raises(ValueError, match="float64: gauss/b"):
+            m.dtype
+
     def test_checksum_sensitive_to_any_parameter(self):
         m = Model(tiny_cfg(), seed=24)
         before = m.checksum()
