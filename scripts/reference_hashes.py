@@ -20,7 +20,9 @@ cells and categorical columns in both files), at `--ensemble` 1 and 3, with
 `infer.BATCH_CAP` at its default and at 50; the `evaluate` NDJSON of a
 4-file suite; and the `analyze-prior` outputs. Last come CLI `predict` of a
 classification and a regression table with 3 features on the float32 desk
-checkpoint, the one path that predicts in float32. Only long-standing names are
+checkpoint, the one path that predicts in float32, and with 3 and with 105
+features on the patch-mode checkpoint with agents, the one path that predicts
+through the patch embedding. Only long-standing names are
 used (`cli.main`, `export_csv`, `pretrain`, `generate_dataset`,
 `infer.BATCH_CAP`), so one command covers both trees of a refactor.
 """
@@ -181,11 +183,14 @@ def main(src: Path) -> int:
         for name in ("diversity.json", "density_grids.npz"):
             print(f"{'analyze_prior_' + name:<34} {sha256(work / 'prior' / name)}")
 
-        for classification in (True, False):
-            split_table(work, classification, d=3)
-            quiet_cli(predict_argv(work, work / "desk.npz"))
-            task = "class" if classification else "regr"
-            print(f"{'predict_desk_' + task + '_d3':<34} {sha256(work / 'predictions.csv')}")
+        for name, file, d in (("desk", "desk.npz", 3), ("patch", "patch-agents.npz", 3),
+                              ("patch", "patch-agents.npz", 105)):
+            for classification in (True, False):
+                split_table(work, classification, d)
+                quiet_cli(predict_argv(work, work / file))
+                task = "class" if classification else "regr"
+                label = f"predict_{name}_{task}_d{d}"
+                print(f"{label:<34} {sha256(work / 'predictions.csv')}")
     return 0
 
 

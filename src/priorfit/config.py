@@ -59,13 +59,9 @@ def load_run_config(path) -> RunConfig:
 
 
 def dump_run_config(cfg: RunConfig, path) -> None:
-    raw = {
-        "train": dataclasses.asdict(cfg.train),
-        "model": dataclasses.asdict(cfg.model),
-        "space": dataclasses.asdict(cfg.space),
-    }
-    if cfg.agent is not None:
-        raw["agent"] = dataclasses.asdict(cfg.agent)
+    raw = dataclasses.asdict(cfg)
+    if cfg.agent is None:
+        del raw["agent"]
     with open(path, "w") as fh:
         yaml.safe_dump(raw, fh, sort_keys=False)
 
@@ -82,13 +78,9 @@ class RunManifest:
 
     @classmethod
     def start(cls, cfg: RunConfig, checkpoint_path) -> "RunManifest":
-        return cls(config={
-            "train": dataclasses.asdict(cfg.train),
-            "model": dataclasses.asdict(cfg.model),
-            "space": dataclasses.asdict(cfg.space),
-            "agent": dataclasses.asdict(cfg.agent) if cfg.agent else None,
-        }, seed=cfg.train.seed, engine_version=__version__,
-            checkpoint_path=str(checkpoint_path), created_at=time.time())
+        return cls(config=dataclasses.asdict(cfg), seed=cfg.train.seed,
+                   engine_version=__version__, checkpoint_path=str(checkpoint_path),
+                   created_at=time.time())
 
     def write(self, path) -> None:
         Path(path).write_text(json.dumps(dataclasses.asdict(self),

@@ -28,8 +28,8 @@ rows at a time, so attention memory is O(QUERY_CHUNK x n_train). The last
 encoded context stays in a one-entry cache keyed by the model checksum, the
 model config, the default dtype and a blake2b digest of the normalized
 training block and its label values with their shapes and dtypes. It holds
-n_blocks x 2 x n_train x d_model floats of keys and values (plus the final
-training states and the two mixture key projections, 3 x n_train x d_model).
+n_blocks x 2 x n_train x d_model floats of keys and values (plus the two
+mixture key projections of the training states, 2 x n_train x d_model).
 
 The forward pass runs at the model's parameter dtype (`Model.dtype`): the
 encode and decode run with it as the default dtype, so inputs, padding, gate
@@ -170,10 +170,10 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
 
         if train.task == CLASSIFICATION:
             probs = decoded(lambda h: model.class_head(
-                h, 0, train01[None], classes.size, keys=context.mixture_keys).data[0])
+                h, context.mixture_keys, train01[None], classes.size).data[0])
             return Prediction(task=CLASSIFICATION, classes=classes,
                               probs=np.concatenate(probs, dtype=np.float64))
-        parts = decoded(lambda h: [t.data[0] for t in model.gaussian_head(h, 0)])
+        parts = decoded(lambda h: [t.data[0] for t in model.gaussian_head(h)])
     mu, sigma = (np.concatenate(p, dtype=np.float64) for p in zip(*parts))
     return Prediction(task=REGRESSION, mu=mu * scale + y_mu, sigma=sigma * scale)
 

@@ -38,6 +38,16 @@ def _scale_rows(a: Tensor, s, inverse: bool = False) -> Tensor:
     return T.permute(scaled, tuple(range(1, a.ndim)) + (0,))
 
 
+def fit_width(x: Tensor, width: int) -> Tensor:
+    """x with its last (feature) axis zero-padded or truncated to width."""
+    d = x.shape[-1]
+    if d > width:
+        return x[..., :width]
+    if d < width:
+        return T.concat([x, Tensor(np.zeros(x.shape[:-1] + (width - d,)))], axis=-1)
+    return x
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Full-scale defaults; desk-scale runs shrink every dimension."""
@@ -82,15 +92,12 @@ class Prediction:
 class EncodedContext:
     """What query rows read from a training context run through the blocks
     once: each block's head-split keys and values of its ln1 output, the
-    final-LN training states, and the mixture head's key projections."""
+    number l of training rows, and the mixture head's key projections of
+    the final-LN training states."""
 
     kv: dict[str, tuple[Tensor, Tensor]]
-    states: Tensor
+    l: int
     mixture_keys: dict[str, Tensor]
-
-    @property
-    def l(self) -> int:
-        return self.states.shape[1]
 
 
 class Model:
@@ -205,34 +212,31 @@ class Model:
                      p[f"{prefix}/ff/w2"])
         return T.add(x, T.add(h, p[f"{prefix}/ff/b2"]))
 
+    def input_width(self, d: int) -> int:
+        """Width d features are fitted to: feature_width in dense mode, the
+        whole patches that cover d in patch mode."""
+        fw = self.cfg.feature_width
+        return fw if self.cfg.embed_mode == "dense" else -(-d // fw) * fw
+
     def embed_features(self, x: Tensor) -> Tensor:
         """Map raw feature rows (B, n, d) onto (B, n, d_model)."""
-        cfg = self.cfg
         d = x.shape[-1]
         if d == 0:
             raise ValueError("cannot embed rows with zero features")
-        if cfg.embed_mode == "dense":
-            if d > cfg.feature_width:
-                x = x[:, :, :cfg.feature_width]
-            elif d < cfg.feature_width:
-                pad = np.zeros(x.shape[:-1] + (cfg.feature_width - d,))
-                x = T.concat([x, Tensor(pad)], axis=-1)
+        x = fit_width(x, self.input_width(d))
+        if self.cfg.embed_mode == "dense":
             return T.add(T.matmul(x, self.params["embed/w"]), self.params["embed/b"])
         return self._patch_embed(x)
 
     def _patch_embed(self, x: Tensor) -> Tensor:
-        """Split features into patches, embed each with the shared map, run one
-        attention block over the patches, and average-pool.
+        """Split features (a whole number of patches wide) into patches, embed
+        each with the shared map, run one attention block over the patches,
+        and average-pool.
 
         Pooling is over unordered patch embeddings; no positional encoding."""
         cfg = self.cfg
         B, n, d = x.shape
-        n_patch = -(-d // cfg.feature_width)
-        padded = n_patch * cfg.feature_width
-        if padded > d:
-            pad = np.zeros((B, n, padded - d))
-            x = T.concat([x, Tensor(pad)], axis=-1)
-        x = T.reshape(x, (B * n, n_patch, cfg.feature_width))
+        x = T.reshape(x, (B * n, d // cfg.feature_width, cfg.feature_width))
         e = T.add(T.matmul(x, self.params["embed/w"]), self.params["embed/b"])
         e = self._block(e, None, "patch_block")
         pooled = T.mean(e, axis=1)
@@ -270,39 +274,38 @@ class Model:
         l = x.shape[1]
         kv: dict = {}
         states = self.transformer(self.embed_episode(x, y_values, l), l, kv)
-        return EncodedContext(kv=kv, states=states, mixture_keys={
-            name: T.matmul(states, self.params[f"mixture/{name}"])
-            for name in ("weight_k", "gate_k")})
+        return EncodedContext(kv=kv, l=l, mixture_keys=self.mixture_keys(states))
 
     def decode(self, x: Tensor, context: EncodedContext) -> Tensor:
         """Final-LN states of query rows x (B, m, d), embedded without labels,
         attending only to the encoded training tokens."""
         return self.transformer(self.embed_features(x), context.l, context.kv)
 
-    def mixture_head(self, ctx: Tensor, l: int, train_labels: np.ndarray,
-                     n_classes: int, gate_rng: Optional[np.random.Generator] = None,
-                     keys: Optional[dict[str, Tensor]] = None) -> Tensor:
+    def mixture_keys(self, states: Tensor) -> dict[str, Tensor]:
+        """The mixture head's weight and gate key projections of the final-LN
+        training states (B, l, d_model)."""
+        return {name: T.matmul(states, self.params[f"mixture/{name}"])
+                for name in ("weight_k", "gate_k")}
+
+    def mixture_head(self, q_t: Tensor, keys: dict[str, Tensor],
+                     train_labels: np.ndarray, n_classes: int,
+                     gate_rng: Optional[np.random.Generator] = None) -> Tensor:
         """Class probabilities over the n_classes observed training labels.
 
-        Query rows are ctx[:, l:]; keys projects the training states
-        ctx[:, :l] unless an encoded context's mixture_keys are given.
-        train_labels is (B, n_train) with entries in 0..n_classes-1. With a
-        generator supplied, gates are sampled from the binary Concrete
-        relaxation at the configured temperature; otherwise gating is the
-        deterministic sigmoid. Rows whose gated mass underflows fall back to
-        the ungated weights.
+        q_t holds the final-LN states of the query rows and keys the
+        mixture_keys of the training rows. train_labels is (B, n_train) with
+        entries in 0..n_classes-1. With a generator supplied, gates are
+        sampled from the binary Concrete relaxation at the configured
+        temperature; otherwise gating is the deterministic sigmoid. Rows
+        whose gated mass underflows fall back to the ungated weights.
         """
         p = self.params
-        dm = self.cfg.d_model
-        q_t, k_t = ctx[:, l:], ctx[:, :l] if keys is None else None
-        key = keys.get if keys is not None else (  # projected after the queries
-            lambda name: T.matmul(k_t, p[f"mixture/{name}"]))
-        scale = 1.0 / np.sqrt(dm)
+        scale = 1.0 / np.sqrt(self.cfg.d_model)
         w_logits = T.matmul(T.matmul(q_t, p["mixture/weight_q"]),
-                            T.swap_last(key("weight_k"))) * scale
+                            T.swap_last(keys["weight_k"])) * scale
         probs = T.softmax(w_logits, axis=-1)
         g_logits = T.matmul(T.matmul(q_t, p["mixture/gate_q"]),
-                            T.swap_last(key("gate_k"))) * scale
+                            T.swap_last(keys["gate_k"])) * scale
         if gate_rng is None:
             gates = T.sigmoid(g_logits)
         else:
@@ -323,44 +326,32 @@ class Model:
             total = T.sum_(mass, axis=-1)
         return _scale_rows(mass, total, inverse=True)
 
-    def dense_head(self, ctx: Tensor, l: int, n_classes: int) -> Tensor:
-        """Ablation head: fixed-width projection, softmax over the first
-        n_classes entries. Refuses class counts beyond its cap."""
+    def dense_head(self, q_t: Tensor, n_classes: int) -> Tensor:
+        """Ablation head: fixed-width projection of the query states q_t,
+        softmax over the first n_classes entries. Refuses class counts beyond
+        its cap."""
         if n_classes > self.cfg.max_classes:
             raise ValueError(
                 f"dense head capped at {self.cfg.max_classes} classes, "
                 f"episode has {n_classes}")
-        logits = T.add(T.matmul(ctx[:, l:], self.params["dense_head/w"]),
+        logits = T.add(T.matmul(q_t, self.params["dense_head/w"]),
                        self.params["dense_head/b"])
         return T.softmax(logits[:, :, :n_classes], axis=-1)
 
-    def gaussian_head(self, ctx: Tensor, l: int) -> tuple[Tensor, Tensor]:
-        out = T.add(T.matmul(ctx[:, l:], self.params["gauss/w"]), self.params["gauss/b"])
+    def gaussian_head(self, q_t: Tensor) -> tuple[Tensor, Tensor]:
+        """Per-row (mu, sigma) of the query states q_t."""
+        out = T.add(T.matmul(q_t, self.params["gauss/w"]), self.params["gauss/b"])
         mu = out[:, :, 0]
         sigma = T.add(T.softplus(out[:, :, 1]), SIGMA_FLOOR)
         return mu, sigma
 
-    # -- full passes ------------------------------------------------------
-
-    def class_head(self, ctx: Tensor, l: int, train_labels: np.ndarray,
-                   n_classes: int, gate_rng: Optional[np.random.Generator] = None,
-                   keys: Optional[dict[str, Tensor]] = None) -> Tensor:
-        """The configured classification head over the query rows ctx[:, l:]."""
+    def class_head(self, q_t: Tensor, keys: dict[str, Tensor],
+                   train_labels: np.ndarray, n_classes: int,
+                   gate_rng: Optional[np.random.Generator] = None) -> Tensor:
+        """The configured classification head over the query states q_t."""
         if self.cfg.head == "dense":
-            return self.dense_head(ctx, l, n_classes)
-        return self.mixture_head(ctx, l, train_labels, n_classes, gate_rng, keys)
-
-    def forward_classification(self, x: Tensor, y_values: Tensor, l: int,
-                               train_labels: np.ndarray, n_classes: int,
-                               gate_rng: Optional[np.random.Generator] = None
-                               ) -> Tensor:
-        ctx = self.transformer(self.embed_episode(x, y_values, l), l)
-        return self.class_head(ctx, l, train_labels, n_classes, gate_rng)
-
-    def forward_regression(self, x: Tensor, y_values: Tensor, l: int
-                           ) -> tuple[Tensor, Tensor]:
-        ctx = self.transformer(self.embed_episode(x, y_values, l), l)
-        return self.gaussian_head(ctx, l)
+            return self.dense_head(q_t, n_classes)
+        return self.mixture_head(q_t, keys, train_labels, n_classes, gate_rng)
 
     # -- checkpointing ----------------------------------------------------
 
@@ -392,7 +383,13 @@ class Model:
             if header["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
             model = cls(ModelConfig(**header["config"]), seed=header["seed"])
-            for name in header["param_order"]:
+            order = header["param_order"]
+            missing = sorted(set(model.params) - set(order))
+            unknown = sorted(set(order) - set(model.params))
+            if missing or unknown:
+                raise ValueError(f"checkpoint parameters do not match its config: "
+                                 f"missing {missing}, unknown {unknown}")
+            for name in order:
                 arr = z["param::" + name]
                 if model.params[name].data.shape != arr.shape:
                     raise ValueError(f"checkpoint parameter '{name}' has shape "

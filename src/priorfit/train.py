@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .agents import AgentConfig, AgentState, ascend_or_reset, make_agents
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, fit_width
 from .prior import (CLASSIFICATION, REGRESSION, Dataset, GeneratorHyperSpace,
                     generate_dataset, sample_generator)
 from .seeding import (NS_BATCH_META, NS_EPISODE, NS_GATES, NS_MODEL_INIT,
@@ -133,18 +133,15 @@ def sample_split(n: int, rng: np.random.Generator) -> int:
 # batched forward
 
 
-def _stack_features(datasets: list[Dataset]) -> Tensor:
-    """Stack the feature blocks into (B, n, d), zero-padding each to the
-    widest dataset; Model.embed_features maps d onto the model."""
-    width = max(ds.d for ds in datasets)
-    blocks = []
-    for ds in datasets:
-        x = ds.X
-        if x.shape[1] < width:
-            x = T.concat([x, Tensor(np.zeros((x.shape[0], width - x.shape[1])))],
-                         axis=1)
-        blocks.append(x)
-    return T.stack(blocks)
+def _episode_states(model: Model, datasets: list[Dataset], l: int
+                    ) -> tuple[Tensor, Tensor]:
+    """Final-LN states (B, n, d_model) of the stacked episodes and their
+    stacked label values (B, n). Feature blocks are zero-padded to the widest
+    dataset; Model.embed_features then fits the stack to the model."""
+    widest = max(ds.d for ds in datasets)
+    x = T.stack([fit_width(ds.X, widest) for ds in datasets])
+    y = T.stack([ds.y_values for ds in datasets])
+    return model.transformer(model.embed_episode(x, y, l), l), y
 
 
 def _forward_episode_losses(model: Model, datasets: list[Dataset], l: int,
@@ -158,8 +155,7 @@ def _forward_episode_losses(model: Model, datasets: list[Dataset], l: int,
     reg = [ds for ds in datasets if ds.task == REGRESSION]
     pieces = []
     if cls:
-        x = _stack_features(cls)
-        y = T.stack([ds.y_values for ds in cls])
+        states, _ = _episode_states(model, cls, l)
         n_test = cls[0].n - l
         train01 = np.zeros((len(cls), l), dtype=np.intp)
         test_idx = np.zeros((len(cls), n_test), dtype=np.intp)
@@ -174,12 +170,12 @@ def _forward_episode_losses(model: Model, datasets: list[Dataset], l: int,
             valid[b] = classes[at] == test
             test_idx[b] = np.where(valid[b], at, 0)
             n_classes = max(n_classes, classes.size)
-        probs = model.forward_classification(x, y, l, train01, n_classes, gate_rng)
+        probs = model.class_head(states[:, l:], model.mixture_keys(states[:, :l]),
+                                 train01, n_classes, gate_rng)
         pieces.append(T.sum_(nll_classification(probs, test_idx, valid)))
     if reg:
-        x = _stack_features(reg)
-        y = T.stack([ds.y_values for ds in reg])
-        mu, sigma = model.forward_regression(x, y, l)
+        states, y = _episode_states(model, reg, l)
+        mu, sigma = model.gaussian_head(states[:, l:])
         pieces.append(T.sum_(nll_regression(mu, sigma, y[:, l:])))
     total = pieces[0]
     for extra in pieces[1:]:

@@ -424,8 +424,9 @@ class TestCriterion6Masking:
             labels = rng.integers(0, 3, size=(1, l))
             labels[0, :3] = np.arange(3)
             sigma = rng.permutation(3)
-            base = model.mixture_head(ctx, l, labels, 3).data
-            permuted = model.mixture_head(ctx, l, sigma[labels], 3).data
+            q_t, keys = ctx[:, l:], model.mixture_keys(ctx[:, :l])
+            base = model.mixture_head(q_t, keys, labels, 3).data
+            permuted = model.mixture_head(q_t, keys, sigma[labels], 3).data
             worst = max(worst, float(np.abs(permuted[:, :, sigma] - base).max()))
         check(6, worst <= 1e-9,
               "insertion invariance, test-row permutation equivariance, and "

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 from priorfit import cli
 from priorfit.cli import main
@@ -78,6 +79,15 @@ class TestConfigFile:
         back = load_run_config(path)
         assert back == cfg
 
+    def test_agent_free_round_trip_omits_agent(self, tmp_path):
+        cfg = RunConfig(train=TrainConfig(seed=9, total_datasets=64),
+                        model=ModelConfig(d_model=32, n_heads=2),
+                        space=GeneratorHyperSpace(feature_count=(2, 5)))
+        path = tmp_path / "cfg.yaml"
+        dump_run_config(cfg, path)
+        assert list(yaml.safe_load(path.read_text())) == ["train", "model", "space"]
+        assert load_run_config(path) == cfg
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("train:\n  bogus_key: 1\n")
@@ -96,6 +106,8 @@ class TestPretrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "completed"
         assert manifest["seed"] == 3
+        assert sorted(manifest["config"]) == ["agent", "model", "space", "train"]
+        assert manifest["config"]["agent"]["reset_period"] == 3
         assert manifest["engine_version"]
         assert (out / "checkpoint.npz").exists()
         log_lines = (out / "train_log.ndjson").read_text().splitlines()

@@ -392,12 +392,14 @@ def joint_forward(model, train, test_x):
     if train.task == CLASSIFICATION:
         classes, train01 = np.unique(train.y_labels, return_inverse=True)
         y = np.concatenate([train01.astype(np.float64), np.zeros(n_test)])
-        return model.forward_classification(x, Tensor(y[None]), n_train,
-                                            train01[None], classes.size).data[0]
+        states = model.transformer(model.embed_episode(x, Tensor(y[None]), n_train), n_train)
+        return model.class_head(states[:, n_train:], model.mixture_keys(states[:, :n_train]),
+                                train01[None], classes.size).data[0]
     y_raw = train.y_values.data
     y_norm = np.clip((y_raw - y_raw.mean()) / y_raw.std(), -4.0, 4.0)
     y = np.concatenate([y_norm, np.zeros(n_test)])
-    mu, sigma = model.forward_regression(x, Tensor(y[None]), n_train)
+    states = model.transformer(model.embed_episode(x, Tensor(y[None]), n_train), n_train)
+    mu, sigma = model.gaussian_head(states[:, n_train:])
     return np.stack([mu.data[0] * y_raw.std() + y_raw.mean(),
                      sigma.data[0] * y_raw.std()])
 
@@ -536,7 +538,7 @@ class TestPredictAtModelDtype:
         full = predicted(model, train, test_x)
         half = predicted(float32_copy(model), train, test_x)
         assert len(encodes) == 2
-        assert infer._encoded[1].states.data.dtype == np.float32
+        assert infer._encoded[1].mixture_keys["weight_k"].data.dtype == np.float32
         if task == CLASSIFICATION:
             np.testing.assert_allclose(half, full, rtol=0, atol=self.PROB_ATOL)
         else:

@@ -173,7 +173,8 @@ class TestMaskedTransformer:
 
 class TestMixtureHead:
     def predict(self, m, ctx, l, labels, C, rng=None):
-        return m.mixture_head(Tensor(ctx), l, labels, C, rng).data
+        ctx = Tensor(ctx)
+        return m.mixture_head(ctx[:, l:], m.mixture_keys(ctx[:, :l]), labels, C, rng).data
 
     def test_constant_logits_give_class_frequencies(self):
         m = Model(tiny_cfg(), seed=10)
@@ -257,38 +258,39 @@ class TestMixtureHead:
 class TestDenseHead:
     def test_cap_enforced_naming_both(self):
         m = Model(tiny_cfg(max_classes=4, head="dense"), seed=18)
-        ctx = Tensor(np.zeros((1, 6, 16)))
+        q_t = Tensor(np.zeros((1, 3, 16)))
         with pytest.raises(ValueError) as ei:
-            m.dense_head(ctx, 3, 7)
+            m.dense_head(q_t, 7)
         assert "4" in str(ei.value) and "7" in str(ei.value)
 
     def test_full_width_softmax(self):
         m = Model(tiny_cfg(max_classes=4), seed=19)
         rng = np.random.default_rng(19)
-        ctx = rng.standard_normal((1, 6, 16))
-        out = m.dense_head(Tensor(ctx), 2, 4)
+        q_t = rng.standard_normal((1, 4, 16))
+        out = m.dense_head(Tensor(q_t), 4)
         assert out.shape == (1, 4, 4)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_equal_logits_uniform(self):
         m = Model(tiny_cfg(max_classes=5), seed=20)
         m.params["dense_head/w"].data = np.zeros_like(m.params["dense_head/w"].data)
-        out = m.dense_head(Tensor(np.random.default_rng(0).standard_normal((1, 4, 16))), 1, 3)
+        out = m.dense_head(Tensor(np.random.default_rng(0).standard_normal((1, 3, 16))), 3)
         np.testing.assert_allclose(out.data, 1.0 / 3.0)
 
 
 class TestGaussianHead:
     def test_sigma_strictly_positive(self):
         m = Model(tiny_cfg(), seed=21)
-        ctx = np.random.default_rng(21).standard_normal((1, 7, 16)) * 50
-        _, sigma = m.gaussian_head(Tensor(ctx), 3)
+        q_t = np.random.default_rng(21).standard_normal((1, 4, 16)) * 50
+        _, sigma = m.gaussian_head(Tensor(q_t))
         assert np.all(sigma.data > 0)
 
     def test_forward_regression_shapes(self):
         m = Model(tiny_cfg(), seed=22)
         rng = np.random.default_rng(22)
-        mu, sigma = m.forward_regression(Tensor(rng.standard_normal((2, 9, 3))),
-                                         Tensor(rng.standard_normal((2, 9))), 5)
+        states = m.transformer(m.embed_episode(Tensor(rng.standard_normal((2, 9, 3))),
+                                               Tensor(rng.standard_normal((2, 9))), 5), 5)
+        mu, sigma = m.gaussian_head(states[:, 5:])
         assert mu.shape == (2, 4) and sigma.shape == (2, 4)
 
 
@@ -317,6 +319,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="float64: gauss/b"):
             m.dtype
 
+    def test_missing_parameter_refused(self, tmp_path):
+        # a parameter absent from the file used to keep its fresh value
+        m = Model(tiny_cfg(), seed=27)
+        del m.params["final_ln/gain"]
+        m.save(tmp_path / "model.ckpt")
+        with pytest.raises(ValueError, match="missing.*final_ln/gain"):
+            Model.load(tmp_path / "model.ckpt")
+
+    def test_unknown_parameter_refused(self, tmp_path):
+        m = Model(tiny_cfg(), seed=28)
+        m.params["extra/w"] = Tensor(np.ones(3), requires_grad=True)
+        m.save(tmp_path / "model.ckpt")
+        with pytest.raises(ValueError, match="unknown.*extra/w"):
+            Model.load(tmp_path / "model.ckpt")
+
     def test_checksum_sensitive_to_any_parameter(self):
         m = Model(tiny_cfg(), seed=24)
         before = m.checksum()
@@ -330,8 +347,9 @@ class TestForwardClassification:
         rng = np.random.default_rng(25)
         B, n, d, C, l = 3, 10, 4, 3, 6
         x, labels = episode_arrays(rng, B=B, n=n, d=d, C=C, l=l)
-        out = m.forward_classification(
-            Tensor(x), Tensor(labels.astype(np.float64)), l, labels[:, :l], C)
+        states = m.transformer(m.embed_episode(
+            Tensor(x), Tensor(labels.astype(np.float64)), l), l)
+        out = m.class_head(states[:, l:], m.mixture_keys(states[:, :l]), labels[:, :l], C)
         assert out.shape == (B, n - l, C)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(out.data >= 0)

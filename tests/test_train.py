@@ -128,6 +128,23 @@ class TestBatchedEpisodeLosses:
         singles = [_forward_episode_losses(model, [ep], 8, None).item() for ep in eps]
         assert batch == pytest.approx(sum(singles), rel=1e-12)
 
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("widths", [
+        (3, 4),
+        pytest.param((2, 5), marks=pytest.mark.xfail(
+            strict=True, reason="patch mode mean-pools the zero patches padded "
+            "up to the widest episode (ROADMAP open item 6)")),
+    ])
+    def test_patch_mode_widths_sum_single_episode_losses(self, task, widths):
+        # feature_width 2: widths 3 and 4 both cover two patches, widths 2
+        # and 5 cover one and three
+        model = Model(ModelConfig(d_model=16, n_blocks=1, n_heads=2, d_ff=24,
+                                  feature_width=2, embed_mode="patch"), seed=5)
+        eps = [random_episode(task, d, seed=i) for i, d in enumerate(widths)]
+        batch = _forward_episode_losses(model, eps, 8, None).item()
+        singles = [_forward_episode_losses(model, [ep], 8, None).item() for ep in eps]
+        assert batch == pytest.approx(sum(singles), rel=1e-12)
+
     def test_distinct_alphabets_and_absent_test_labels(self):
         # each context keeps its own sorted alphabet; test labels outside it,
         # below, between or above its classes, score at the probability floor
@@ -151,9 +168,10 @@ class TestBatchedEpisodeLosses:
         for ds, single in zip(datasets, singles):
             classes = sorted(set(ds.y_labels[:l].tolist()))
             train01 = np.array([[classes.index(c) for c in ds.y_labels[:l]]])
-            probs = model.forward_classification(
-                Tensor(ds.X.data[None]), Tensor(ds.y_values.data[None]), l,
-                train01, len(classes)).data[0]
+            states = model.transformer(model.embed_episode(
+                Tensor(ds.X.data[None]), Tensor(ds.y_values.data[None]), l), l)
+            probs = model.class_head(states[:, l:], model.mixture_keys(states[:, :l]),
+                                     train01, len(classes)).data[0]
             rows = [-np.log(probs[j, classes.index(c)]) if c in classes
                     else -np.log(NLL_EPSILON)
                     for j, c in enumerate(ds.y_labels[l:].tolist())]
@@ -332,10 +350,11 @@ class TestPretrain:
         loaded, extra, _ = Model.load(tmp_path / "m.ckpt")
         assert extra["next_step"] == 2
         rng = np.random.default_rng(0)
-        out = loaded.forward_classification(
+        states = loaded.transformer(loaded.embed_episode(
             Tensor(rng.standard_normal((1, 8, 3))),
-            Tensor(rng.integers(0, 2, size=(1, 8)).astype(float)),
-            4, np.array([[0, 1, 0, 1]]), 2)
+            Tensor(rng.integers(0, 2, size=(1, 8)).astype(float)), 4), 4)
+        out = loaded.class_head(states[:, 4:], loaded.mixture_keys(states[:, :4]),
+                                np.array([[0, 1, 0, 1]]), 2)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_eval_hook_called_at_cadence(self):
