@@ -113,15 +113,24 @@ def _warn_unparseable(path, name: str, count: int) -> None:
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
     """Header and data rows. Columns are keyed by name downstream, so a
-    repeated name is refused rather than letting one column shadow another."""
+    repeated name is refused rather than letting one column shadow another.
+    A row with more cells than the header (an unquoted comma, say) is refused
+    rather than cut, which would shift every later column."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file, header row required")
-    repeated = sorted(name for name, k in Counter(rows[0]).items() if k > 1)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, header row required")
+        rows = []
+        for row in reader:
+            if len(row) > len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                                 f"cells, the header {len(header)}")
+            rows.append(row)
+    repeated = sorted(name for name, k in Counter(header).items() if k > 1)
     if repeated:
         raise ValueError(f"{path}: duplicate column names {repeated}")
-    return rows[0], rows[1:]
+    return header, rows
 
 
 def _read_columns(path) -> tuple[dict[str, list[str]], int]:

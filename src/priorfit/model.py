@@ -195,7 +195,7 @@ class Model:
                           split(T.matmul(keys, p[f"{prefix}/attn/wv"])))
         if kv is not None:
             kv[prefix] = (k, v)
-        scores = T.matmul(q, T.swap_last(k)) * (1.0 / np.sqrt(dh))
+        scores = T.mul(T.matmul(q, T.swap_last(k)), 1.0 / np.sqrt(dh))
         ctx = T.matmul(T.softmax(scores, axis=-1), v)
         ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B, n, cfg.d_model))
         return T.matmul(ctx, p[f"{prefix}/attn/wo"])
@@ -301,18 +301,18 @@ class Model:
         """
         p = self.params
         scale = 1.0 / np.sqrt(self.cfg.d_model)
-        w_logits = T.matmul(T.matmul(q_t, p["mixture/weight_q"]),
-                            T.swap_last(keys["weight_k"])) * scale
+        w_logits = T.mul(T.matmul(T.matmul(q_t, p["mixture/weight_q"]),
+                                  T.swap_last(keys["weight_k"])), scale)
         probs = T.softmax(w_logits, axis=-1)
-        g_logits = T.matmul(T.matmul(q_t, p["mixture/gate_q"]),
-                            T.swap_last(keys["gate_k"])) * scale
+        g_logits = T.mul(T.matmul(T.matmul(q_t, p["mixture/gate_q"]),
+                                  T.swap_last(keys["gate_k"])), scale)
         if gate_rng is None:
             gates = T.sigmoid(g_logits)
         else:
             u = gate_rng.uniform(1e-7, 1.0 - 1e-7, size=g_logits.shape)
             noise = np.log(u) - np.log1p(-u)
-            gates = T.sigmoid(T.add(g_logits, Tensor(noise))
-                              * (1.0 / self.cfg.gate_temperature))
+            gates = T.sigmoid(T.mul(T.add(g_logits, Tensor(noise)),
+                                    1.0 / self.cfg.gate_temperature))
         labels = np.asarray(train_labels, dtype=np.intp)
         mass = T.scatter_add(T.mul(probs, gates), labels, n_classes)
         total = T.sum_(mass, axis=-1)

@@ -299,7 +299,7 @@ def soft_discretize(col: Tensor, spec: DiscretizerSpec) -> Tensor:
     base = spec.perm[pos - 1].astype(np.float64)
 
     mu = T.mean(col)
-    sd = T.sqrt(T.variance(col) + _STD_GUARD)
+    sd = T.sqrt(T.add(T.variance(col), _STD_GUARD))
     q_tilde = T.add(mu, T.mul(sd, Tensor(spec.quantiles)))
     brackets = T.concat([
         T.reshape(T.min_(col), (1,)),
@@ -318,7 +318,7 @@ def normalize_columns(x: Tensor) -> Tensor:
     Zero-variance columns come out as (numerical) zeros rather than erroring.
     """
     mu = T.mean(x, axis=0)
-    sd = T.sqrt(T.variance(x, axis=0) + _STD_GUARD)
+    sd = T.sqrt(T.add(T.variance(x, axis=0), _STD_GUARD))
     return T.clip(T.div(T.sub(x, mu), sd), -4.0, 4.0)
 
 

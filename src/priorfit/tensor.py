@@ -1,8 +1,10 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Everything runs on numpy arrays. Ops record onto an explicit tape (a context
-manager); nothing is recorded unless a tape is active and at least one input
-requires grad, so inference is plain numpy with zero autodiff overhead.
+Everything runs on numpy arrays. Every op is a module function (`add`,
+`matmul`, `sum_`, ...); only indexing has operator syntax (`t[key]` is
+`slice_`). Ops record onto an explicit tape (a context manager); nothing is
+recorded unless a tape is active and at least one input requires grad, so
+inference is plain numpy with zero autodiff overhead.
 
 Shape rules are deliberately narrow: elementwise ops accept equal shapes,
 0-d scalars, or a right-aligned suffix operand (bias style, broadcast over
@@ -27,29 +29,24 @@ _DEFAULT_DTYPE = np.float64
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype new tensors are created with (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype).type
-    if dtype not in _FLOAT_DTYPES:
-        raise ValueError(f"unsupported default dtype {dtype}")
-    _DEFAULT_DTYPE = dtype
-
-
 def default_dtype():
     return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
 def dtype_scope(dtype):
-    """Make dtype the default for the body; the previous default is restored
-    on exit, also when the body raises."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    """Make dtype (float32 or float64) the default new tensors are created
+    with for the body; the previous default is restored on exit, also when
+    the body raises."""
+    global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype).type
+    if dtype not in _FLOAT_DTYPES:
+        raise ValueError(f"unsupported default dtype {dtype}")
+    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE = prev
 
 
 class TensorError(Exception):
@@ -104,46 +101,8 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 class _Node:
@@ -216,10 +175,6 @@ class Tape:
                 else:
                     # leaf: accumulate across backward calls
                     parent.grad = pg.copy() if parent.grad is None else parent.grad + pg
-
-
-def active_tape() -> Optional[Tape]:
-    return _ACTIVE_TAPE
 
 
 def _as_tensor(x) -> Tensor:
@@ -306,12 +261,6 @@ def neg(a) -> Tensor:
     return _record("neg", -a.data, (a,), lambda g: (-g,))
 
 
-def pow_(a, p: float) -> Tensor:
-    a = _as_tensor(a)
-    ad = a.data
-    return _record("pow", ad ** p, (a,), lambda g: (g * p * ad ** (p - 1.0),))
-
-
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.data)
@@ -344,12 +293,6 @@ def matmul(a, b) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return _record("exp", out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
@@ -422,84 +365,61 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# reductions: over all elements (axis None) or over one integer axis
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    if not keepdims:
-        for ax in sorted(ax % len(shape) for ax in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
+def _expand_reduced(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
 
-def _axis_count(shape: tuple, axis) -> int:
-    if axis is None:
-        return int(np.prod(shape)) if shape else 1
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    n = 1
-    for ax in axes:
-        n *= shape[ax]
-    return n
-
-
-def sum_(a, axis=None, keepdims=False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
     return _record("sum", np.asarray(out), (a,),
-                   lambda g: (_expand_reduced(g, a.shape, axis, keepdims),))
+                   lambda g: (_expand_reduced(g, a.shape, axis),))
 
 
-def mean(a, axis=None, keepdims=False) -> Tensor:
+def mean(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    n = _axis_count(a.shape, axis)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+    n = a.data.size if axis is None else a.shape[axis]
+    out = a.data.mean(axis=axis)
     return _record("mean", np.asarray(out), (a,),
-                   lambda g: (_expand_reduced(g, a.shape, axis, keepdims) / n,))
+                   lambda g: (_expand_reduced(g, a.shape, axis) / n,))
 
 
-def variance(a, axis=None, keepdims=False) -> Tensor:
+def variance(a, axis=None) -> Tensor:
     """Population variance (1/n normalization)."""
     a = _as_tensor(a)
-    n = _axis_count(a.shape, axis)
+    n = a.data.size if axis is None else a.shape[axis]
     mu = a.data.mean(axis=axis, keepdims=True)
-    out = a.data.var(axis=axis, keepdims=keepdims)
+    out = a.data.var(axis=axis)
 
     def backward(g):
-        gg = _expand_reduced(g, a.shape, axis, keepdims)
+        gg = _expand_reduced(g, a.shape, axis)
         return (gg * 2.0 * (a.data - mu) / n,)
 
     return _record("variance", np.asarray(out), (a,), backward)
 
 
-def _extremum(name, a, axis, np_fn, np_arg_fn):
+def _extremum(name, a, np_fn, np_arg_fn):
     a = _as_tensor(a)
-    out = np_fn(a.data, axis=axis)
 
     def backward(g):
         z = np.zeros_like(a.data)
-        if axis is None:
-            idx = np.unravel_index(np_arg_fn(a.data), a.shape)
-            z[idx] = g
-        else:
-            arg = np_arg_fn(a.data, axis=axis)
-            ge = np.expand_dims(np.asarray(g), axis)
-            np.put_along_axis(z, np.expand_dims(arg, axis), ge, axis)
+        z[np.unravel_index(np_arg_fn(a.data), a.shape)] = g
         return (z,)
 
-    return _record(name, np.asarray(out), (a,), backward)
+    return _record(name, np.asarray(np_fn(a.data)), (a,), backward)
 
 
-def min_(a, axis=None) -> Tensor:
-    """Minimum; subgradient routes to the first minimal element."""
-    return _extremum("min", a, axis, np.min, np.argmin)
+def min_(a) -> Tensor:
+    """Minimum over all elements; subgradient routes to the first minimal element."""
+    return _extremum("min", a, np.min, np.argmin)
 
 
-def max_(a, axis=None) -> Tensor:
-    """Maximum; subgradient routes to the first maximal element."""
-    return _extremum("max", a, axis, np.max, np.argmax)
+def max_(a) -> Tensor:
+    """Maximum over all elements; subgradient routes to the first maximal element."""
+    return _extremum("max", a, np.max, np.argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -638,31 +558,23 @@ def take_along_last(a, indices) -> Tensor:
 
 
 def scatter_add(values, indices, num_segments: int) -> Tensor:
-    """Segment-sum over the last axis: out[..., c] = sum of values where index == c.
-
-    Index may have the same shape as values, be 1-d and shared, or share the
-    leading axis with a batched values tensor. Backward gathers the upstream
-    gradient back to each source position exactly.
+    """Batched segment-sum over the last axis: values (B, ..., k) and index
+    (B, k) give out[b, ..., c] = sum of values[b, ..., j] where
+    index[b, j] == c. Backward gathers the upstream gradient back to each
+    source position exactly.
     """
     v = _as_tensor(values)
     idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 2 or v.ndim < 2 or v.shape[0] != idx.shape[0] \
+            or v.shape[-1] != idx.shape[1]:
+        raise ShapeMismatch("scatter_add", v.shape, idx.shape)
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= num_segments):
         raise ShapeMismatch("scatter_add(index out of range)", idx.shape, (num_segments,))
-    eye = np.eye(num_segments, dtype=v.data.dtype)
-    onehot = eye[idx]
-    if idx.shape == v.shape:
-        spec_fwd, spec_bwd = "...k,...kc->...c", "...c,...kc->...k"
-    elif idx.ndim == 1 and v.shape[-1] == idx.shape[0]:
-        spec_fwd, spec_bwd = "...k,kc->...c", "...c,kc->...k"
-    elif idx.ndim == 2 and v.ndim >= 2 and v.shape[0] == idx.shape[0] \
-            and v.shape[-1] == idx.shape[1]:
-        spec_fwd, spec_bwd = "b...k,bkc->b...c", "b...c,bkc->b...k"
-    else:
-        raise ShapeMismatch("scatter_add", v.shape, idx.shape)
-    out = np.einsum(spec_fwd, v.data, onehot)
+    onehot = np.eye(num_segments, dtype=v.data.dtype)[idx]
+    out = np.einsum("b...k,bkc->b...c", v.data, onehot)
 
     def backward(g):
-        return (np.einsum(spec_bwd, g, onehot),)
+        return (np.einsum("b...c,bkc->b...k", g, onehot),)
 
     return _record("scatter_add", out, (v,), backward)
 

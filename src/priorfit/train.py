@@ -69,12 +69,27 @@ class TrainConfig:
 
 
 class TrainLog:
-    """Per-step records, optionally streamed to newline-delimited JSON."""
+    """Per-step records, optionally streamed to newline-delimited JSON.
 
-    def __init__(self, path: Optional[Path] = None):
+    The file holds one run: a run from step 0 starts it empty, and a run
+    resumed at step `start` keeps only its records of earlier steps, so
+    records written past the checkpoint before an interruption are not
+    duplicated. `records` holds this process's records only.
+    """
+
+    def __init__(self, path: Optional[Path] = None, start: int = 0):
         self.records: list[dict] = []
         self.path = Path(path) if path else None
-        self._fh = open(self.path, "a") if self.path else None
+        self._fh = None
+        if self.path is None:
+            return
+        kept = []
+        if start and self.path.exists():
+            kept = [line for line in self.path.read_text().splitlines(keepends=True)
+                    if line.strip() and json.loads(line)["step"] < start]
+        self._fh = open(self.path, "w")
+        self._fh.writelines(kept)
+        self._fh.flush()
 
     def append(self, rec: dict) -> None:
         self.records.append(rec)
@@ -355,7 +370,7 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
     stop_after_steps interrupts the run early (checkpoint still written) so
     the same configured run can be continued later with resume_from.
     """
-    with T.dtype_scope(cfg.dtype), contextlib.closing(TrainLog(log_path)) as train_log:
+    with T.dtype_scope(cfg.dtype):
         steps = math.ceil(cfg.total_datasets / cfg.effective_batch)
         agents = make_agents(cfg.datasets_per_step, space, cfg.seed, agent_cfg)
         if resume_from is not None:
@@ -373,13 +388,14 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
             model.save(checkpoint_path, extra=extra, arrays=arrays)
 
         stop_at = steps if stop_after_steps is None else min(steps, start + stop_after_steps)
-        for step in range(start, stop_at):
-            rec = train_step(model, agents, cfg, space, step, adam)
-            train_log.append(rec)
-            due = (step + 1) % cfg.eval_every == 0 or step == stop_at - 1
-            if due:
-                if eval_hook is not None:
-                    metrics = eval_hook(model, step)
-                    train_log.append({"step": step, "eval": metrics})
-                write_checkpoint(step + 1)
+        with contextlib.closing(TrainLog(log_path, start)) as train_log:
+            for step in range(start, stop_at):
+                rec = train_step(model, agents, cfg, space, step, adam)
+                train_log.append(rec)
+                due = (step + 1) % cfg.eval_every == 0 or step == stop_at - 1
+                if due:
+                    if eval_hook is not None:
+                        metrics = eval_hook(model, step)
+                        train_log.append({"step": step, "eval": metrics})
+                    write_checkpoint(step + 1)
         return model, train_log

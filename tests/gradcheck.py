@@ -45,7 +45,7 @@ def check_op(op, arrays, rng, h=1e-5, rtol=1e-4, wrt=None):
     with T.Tape() as tape:
         out = op(*tensors)
         proj = rng.standard_normal(out.shape)
-        loss = T.sum_(out * T.Tensor(proj))
+        loss = T.sum_(T.mul(out, T.Tensor(proj)))
         tape.backward(loss)
 
     def scalar_f(*raw):

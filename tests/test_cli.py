@@ -113,6 +113,13 @@ class TestPretrainCommand:
         log_lines = (out / "train_log.ndjson").read_text().splitlines()
         assert len([l for l in log_lines if "nll" in l]) == 2
 
+    def test_rerun_into_same_outdir_starts_a_fresh_log(self, run_dir):
+        _, cfg_path, out = run_dir
+        assert main(["pretrain", "--config", str(cfg_path), "--outdir", str(out)]) == 0
+        records = [json.loads(l) for l in
+                   (out / "train_log.ndjson").read_text().splitlines()]
+        assert [r["step"] for r in records if "nll" in r] == [0, 1]
+
     def test_budget_arithmetic_one_step(self, tmp_path):
         cfg_path = tmp_path / "one.yaml"
         cfg_path.write_text(TINY_YAML.replace("total_datasets: 8",

@@ -105,6 +105,17 @@ class TestIngest:
         with pytest.raises(ValueError, match=f"duplicate column names \\[{repeated}\\]"):
             ingest_csv(path, target="y")
 
+    def test_row_wider_than_header_rejected(self, tmp_path):
+        # an unquoted comma in a cell would make '5' the target of row 3
+        path = write(tmp_path, "t.csv", "a,b,y\n1,2,0\n3,4,5,1\n")
+        with pytest.raises(ValueError, match=r"t\.csv: line 3 has 4 cells, the header 3"):
+            ingest_csv(path, target="y")
+        _, schemas = ingest_csv(write(tmp_path, "train.csv", "a,b,y\n1,2,0\n3,4,1\n"), "y")
+        test = write(tmp_path, "test.csv", "a,b\n1,2\n3,4,5\n")
+        with pytest.raises(ValueError, match=r"test\.csv: line 3 has 3 cells"):
+            ingest_features_with_schema(test, schemas)
+
+
 
 class TestSchemaReuse:
     def test_unseen_category_becomes_missing(self, tmp_path):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from priorfit import diversity, tensor as T
 from priorfit.tensor import Tensor
-from priorfit.prior import CLASSIFICATION, Dataset
+from priorfit.agents import AgentConfig
+from priorfit.model import Model, ModelConfig
+from priorfit.prior import CLASSIFICATION, Dataset, GeneratorHyperSpace
 from priorfit.diversity import (histogram_density, kl_divergence,
                                 pearson_signal, pooled_points,
                                 prior_diversity_report)
+from priorfit.train import _forward_episode_losses
 
 
 def gaussian_kl_closed_form(mu1, cov1, mu2, cov2):
@@ -103,3 +107,48 @@ class TestDiversityReport:
                       cat_mask=np.zeros(3, dtype=bool), task="regression")
         with pytest.raises(ValueError):
             pooled_points([bad])
+
+
+class TestAdversarialCollection:
+    @pytest.mark.xfail(strict=True, reason="the agent's gradients are never zeroed "
+                       "between ascents, so the k-th ascent climbs the sum of k "
+                       "episode gradients (ROADMAP open item 9)")
+    def test_each_ascent_uses_its_own_episode_gradient(self, monkeypatch):
+        model = Model(ModelConfig(d_model=16, n_blocks=1, n_heads=2, d_ff=24,
+                                  feature_width=2), seed=0)
+        space = GeneratorHyperSpace(feature_count=(2, 2), hidden_width=(6, 8),
+                                    layer_count=(2, 2))
+        n_rows = 20
+        episode = {}
+        used, fresh = [], []
+        real_generate, real_ascend = diversity.generate_dataset, diversity.ascend_or_reset
+
+        def generate(*args, **kwargs):
+            episode["args"] = args, kwargs
+            return real_generate(*args, **kwargs)
+
+        def ascend(agent):
+            # the gradient the ascent climbs, against a replay of this
+            # episode alone from zeroed gradients
+            params = agent.parameters() + model.parameters()
+            saved = [p.grad for p in params]
+            used.append([p.grad.copy() for p in agent.parameters()])
+            T.zero_grads(params)
+            args, kwargs = episode["args"]
+            with T.Tape() as tape:
+                ds = real_generate(*args, **kwargs)
+                tape.backward(_forward_episode_losses(model, [ds], n_rows // 2, None))
+            fresh.append([p.grad.copy() for p in agent.parameters()])
+            for p, g in zip(params, saved):
+                p.grad = g
+            return real_ascend(agent)
+
+        monkeypatch.setattr(diversity, "generate_dataset", generate)
+        monkeypatch.setattr(diversity, "ascend_or_reset", ascend)
+        diversity.build_adversarial_collection(model, space, AgentConfig(), run_seed=3,
+                                               count=3, n_rows=n_rows)
+        assert len(used) >= 3
+        for k, (got, own) in enumerate(zip(used, fresh)):
+            for g, f in zip(got, own):
+                np.testing.assert_allclose(g, f, rtol=1e-9, atol=1e-12,
+                                           err_msg=f"ascent {k}")

@@ -121,7 +121,7 @@ class TestSoftDiscretize:
         x = T.Tensor(col, requires_grad=True)
         with T.Tape() as tape:
             out = soft_discretize(x, spec)
-            loss = T.sum_(out * T.Tensor(proj))
+            loss = T.sum_(T.mul(out, T.Tensor(proj)))
             tape.backward(loss)
         fd = finite_diff(lambda a: scalar(a), [col], 0, h=1e-6)
         assert rel_err(x.grad, fd) <= 1e-4
@@ -302,7 +302,7 @@ class TestGenerateDataset:
         g.set_temperature(0.01)
         with T.Tape() as tape:
             ds = generate_dataset(g, 24, seed=1, soft=True)
-            loss = T.mean(ds.X * ds.X)
+            loss = T.mean(T.mul(ds.X, ds.X))
             tape.backward(loss)
         got = [w.grad is not None and np.abs(w.grad).sum() > 0 for w in g.weights]
         assert any(got)

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -326,6 +327,22 @@ class TestPretrain:
         for step, value in resumed_nll.items():
             assert value == full_nll[step]
         assert resumed_model.checksum() == full_model.checksum()
+
+    def test_resume_over_longer_log_matches_uninterrupted_log(self, tmp_path):
+        # an interruption after step 4 was logged but before its checkpoint:
+        # the resumed run must not log step 4 twice
+        cfg = small_train_cfg(total_datasets=24, eval_every=2,
+                              datasets_per_step=4)
+        pretrain(cfg, MODEL_CFG, SPACE, log_path=tmp_path / "full.ndjson")
+        pretrain(cfg, MODEL_CFG, SPACE, checkpoint_path=tmp_path / "half.ckpt",
+                 stop_after_steps=4)
+        full = (tmp_path / "full.ndjson").read_text()
+        cut = tmp_path / "cut.ndjson"
+        cut.write_text("".join(l for l in full.splitlines(keepends=True)
+                               if json.loads(l)["step"] <= 4))
+        pretrain(cfg, MODEL_CFG, SPACE, log_path=cut,
+                 resume_from=tmp_path / "half.ckpt")
+        assert cut.read_text() == full
 
     def test_resume_rejects_config_drift(self, tmp_path):
         cfg = small_train_cfg(total_datasets=8)
