@@ -22,9 +22,11 @@ cells and categorical columns in both files), at `--ensemble` 1 and 3, with
 classification and a regression table with 3 features on the float32 desk
 checkpoint, the one path that predicts in float32, and with 3 and with 105
 features on the patch-mode checkpoint with agents, the one path that predicts
-through the patch embedding. Only long-standing names are
-used (`cli.main`, `export_csv`, `pretrain`, `generate_dataset`,
-`infer.BATCH_CAP`), so one command covers both trees of a refactor.
+through the patch embedding; and on the float32 desk checkpoint with a
+LARGE_CONTEXT_ROWS-row context, whose attention scores outgrow the L2 cache.
+Only long-standing names are used (`cli.main`, `export_csv`, `pretrain`,
+`generate_dataset`, `infer.BATCH_CAP`), so one command covers both trees of a
+refactor.
 """
 
 import argparse
@@ -48,6 +50,7 @@ MIXED_STEPS = 12
 MIXED_BATCH = 8
 
 PREDICT_TRAIN_ROWS = 60
+LARGE_CONTEXT_ROWS = 1000
 PREDICT_TEST_ROWS = 20
 SMALL_BATCH_CAP = 50
 SUITE_ROWS = 40
@@ -85,9 +88,10 @@ def export_table(path: Path, classification: bool, d: int, n: int,
     export_csv(ds, path)
 
 
-def split_table(work: Path, classification: bool, d: int) -> None:
-    """Write train.csv and test.csv of a fixed-seed table with d features."""
-    n = PREDICT_TRAIN_ROWS
+def split_table(work: Path, classification: bool, d: int,
+                n: int = PREDICT_TRAIN_ROWS) -> None:
+    """Write train.csv (n rows) and test.csv of a fixed-seed table with d
+    features."""
     export_table(work / "table.csv", classification, d, n + PREDICT_TEST_ROWS, seed=d)
     header, *rows = (work / "table.csv").read_text().splitlines(True)
     (work / "train.csv").write_text(header + "".join(rows[:n]))
@@ -191,6 +195,13 @@ def main(src: Path) -> int:
                 task = "class" if classification else "regr"
                 label = f"predict_{name}_{task}_d{d}"
                 print(f"{label:<34} {sha256(work / 'predictions.csv')}")
+
+        for classification in (True, False):
+            split_table(work, classification, 3, LARGE_CONTEXT_ROWS)
+            quiet_cli(predict_argv(work, work / "desk.npz"))
+            task = "class" if classification else "regr"
+            label = f"predict_desk_{task}_d3_l{LARGE_CONTEXT_ROWS}"
+            print(f"{label:<34} {sha256(work / 'predictions.csv')}")
     return 0
 
 

@@ -24,12 +24,16 @@ of the two layouts can differ in the last bit.
 Test rows attend only to training rows, so the pass runs in two phases that
 together equal the joint masked pass: the training context is encoded once
 (`Model.encode_context`), then test rows are decoded against it QUERY_CHUNK
-rows at a time, so attention memory is O(QUERY_CHUNK x n_train). The last
-encoded context stays in a one-entry cache keyed by the model checksum, the
-model config, the default dtype and a blake2b digest of the normalized
-training block and its label values with their shapes and dtypes. It holds
-n_blocks x 2 x n_train x d_model floats of keys and values (plus the two
-mixture key projections of the training states, 2 x n_train x d_model).
+rows at a time, so decode attention memory is O(QUERY_CHUNK x n_train).
+Each block's attention (`tensor.attention`) holds one scores buffer, which
+the scale, max-shift, exp and normalization overwrite in place, so the
+encode peaks at one heads x n_train x n_train buffer. The last encoded
+context stays in a one-entry cache keyed by the model checksum, the model
+config, the default dtype and a blake2b digest of the normalized training
+block and its label values with their shapes and dtypes. Its `kv` holds each
+block's head-split key and value arrays, written once by the encode:
+n_blocks x 2 x n_train x d_model floats (plus the two mixture key
+projections of the training states, 2 x n_train x d_model).
 
 The forward pass runs at the model's parameter dtype (`Model.dtype`): the
 encode and decode run with it as the default dtype, so inputs, padding, gate

@@ -63,6 +63,8 @@ class ModelConfig:
     max_classes: int = 10          # dense-head cap only
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be at least 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.feature_width < 1:
@@ -95,7 +97,7 @@ class EncodedContext:
     number l of training rows, and the mixture head's key projections of
     the final-LN training states."""
 
-    kv: dict[str, tuple[Tensor, Tensor]]
+    kv: dict[str, tuple[np.ndarray, np.ndarray]]
     l: int
     mixture_keys: dict[str, Tensor]
 
@@ -179,26 +181,12 @@ class Model:
         of h (all rows when None), projected after the queries. kv caches the
         head-split keys and values per block: an entry present is attended
         to instead, a missing one is stored."""
-        cfg = self.cfg
-        dh = cfg.d_model // cfg.n_heads
-        p = self.params
-        B, n = h.shape[0], h.shape[1]
-
-        def split(t):
-            t = T.reshape(t, (B, t.shape[1], cfg.n_heads, dh))
-            return T.permute(t, (0, 2, 1, 3))
-
-        cached = None if kv is None else kv.get(prefix)
-        keys = h if key_count is None or cached is not None else h[:, :key_count]
-        q = split(T.matmul(h, p[f"{prefix}/attn/wq"]))
-        k, v = cached or (split(T.matmul(keys, p[f"{prefix}/attn/wk"])),
-                          split(T.matmul(keys, p[f"{prefix}/attn/wv"])))
+        weights = (self.params[f"{prefix}/attn/{w}"] for w in ("wq", "wk", "wv", "wo"))
+        out, kv_arrays = T.attention(h, *weights, self.cfg.n_heads, key_count,
+                                     None if kv is None else kv.get(prefix))
         if kv is not None:
-            kv[prefix] = (k, v)
-        scores = T.mul(T.matmul(q, T.swap_last(k)), 1.0 / np.sqrt(dh))
-        ctx = T.matmul(T.softmax(scores, axis=-1), v)
-        ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B, n, cfg.d_model))
-        return T.matmul(ctx, p[f"{prefix}/attn/wo"])
+            kv.setdefault(prefix, kv_arrays)
+        return out
 
     def _block(self, x: Tensor, key_count: Optional[int], prefix: str,
                kv: Optional[dict] = None) -> Tensor:

@@ -12,7 +12,9 @@ leading batch dims). Anything else raises ShapeMismatch naming the op.
 
 Gradients accumulate additively on leaf tensors across backward calls and
 across tapes; intermediate tensors get their per-pass gradient for
-inspection only.
+inspection only. A non-finite gradient raises GradientNaN naming the op that
+produced it; multi-head attention is one op (`attention`), so a non-finite
+gradient inside the block is named `attention`.
 """
 
 from __future__ import annotations
@@ -426,17 +428,33 @@ def max_(a) -> Tensor:
 # normalizing ops
 
 
+def _inplace(ufunc, a: np.ndarray, b) -> np.ndarray:
+    """ufunc(a, b), written into a's buffer when that keeps the result dtype."""
+    return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
+
+
+def _softmax_into(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None
+                  ) -> np.ndarray:
+    """Softmax of x along axis in one buffer: out (x itself for in place) or a
+    fresh one, which the max-shift, exp and normalization all reuse."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Backward of softmax output out: (g - sum(g * out)) * out, the product
+    written into the difference's fresh buffer."""
+    grad = g - (g * out).sum(axis=axis, keepdims=True)
+    grad *= out
+    return grad
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _record("softmax", out, (a,), backward)
+    out = _softmax_into(a.data, axis)
+    return _record("softmax", out, (a,), lambda g: (_softmax_grad(g, out, axis),))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -464,6 +482,85 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return gx, ggain, gbias
 
     return _record("layer_norm", out, (x, gain, bias), backward)
+
+
+def attention(h, wq, wk, wv, wo, heads: int, key_count: Optional[int] = None,
+              kv: Optional[tuple] = None) -> tuple[Tensor, tuple]:
+    """Multi-head attention of every row of h (B, n, d) over its first
+    key_count rows (all rows when None), or over cached head-split keys and
+    values kv, projected out by wo. Returns the output and the (k, v) arrays,
+    each (B, heads, keys, d / heads).
+
+    One op per call: the scaled scores, their max-shift, exp and
+    normalization share the one buffer the score GEMM returns. Values and
+    gradients are bytewise those of the composition matmul / reshape /
+    permute / swap_last / mul / softmax: the forward issues the same numpy
+    calls on the same layouts, and the backward replays that composition's
+    per-op gradients in the tape's order, summing the keys' and h's
+    gradient paths in the same association. Cached keys and values have no
+    gradient path to wk and wv, so kv under a recording tape is refused.
+    """
+    h, wq, wk, wv, wo = parents = tuple(_as_tensor(t) for t in (h, wq, wk, wv, wo))
+    d = h.shape[-1]
+    if h.ndim != 3 or any(w.shape != (d, d) for w in parents[1:]):
+        raise ShapeMismatch("attention", *(t.shape for t in parents))
+    if heads < 1 or d % heads:
+        raise ShapeMismatch(f"attention({heads} heads)", h.shape)
+    if kv is not None and _ACTIVE_TAPE is not None \
+            and any(t.requires_grad for t in parents):
+        raise TensorError("attention: cached keys and values have no gradient "
+                          "path to wk and wv; refused under a recording tape")
+    B, n, dh = h.shape[0], h.shape[1], d // heads
+
+    def split(a):  # (B, m, d) -> (B, heads, m, dh) view
+        return a.reshape(B, a.shape[1], heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (B, heads, m, dh) -> (B, m, d) copy
+        return a.transpose(0, 2, 1, 3).reshape(B, a.shape[2], d)
+
+    keys = h.data if key_count is None else h.data[:, :key_count]
+    q = split(h.data @ wq.data)
+    if kv is None:
+        k, v = split(keys @ wk.data), split(keys @ wv.data)
+    else:
+        k, v = kv
+        if k.shape != v.shape or k.shape[:2] + k.shape[3:] != (B, heads, dh):
+            raise ShapeMismatch("attention(kv)", h.shape, k.shape, v.shape)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=_DEFAULT_DTYPE)
+    probs = _inplace(np.multiply, q @ np.swapaxes(k, -1, -2), scale)
+    probs = _softmax_into(probs, -1, out=probs)
+    ctx = merge(probs @ v)
+    out = ctx @ wo.data
+
+    def backward(g):
+        gwo = (np.swapaxes(ctx, -1, -2) @ g).sum(axis=0) if wo.requires_grad else None
+        if not any(t.requires_grad for t in parents[:4]):
+            return None, None, None, None, gwo
+        gctx = split(g @ np.swapaxes(wo.data, -1, -2))
+        gs = _inplace(np.multiply, _softmax_grad(gctx @ np.swapaxes(v, -1, -2), probs, -1),
+                      scale)
+
+        def project(x, w, gy):  # input and weight gradients of x @ w, split as gy
+            gy = merge(gy)
+            gx = gy @ np.swapaxes(w.data, -1, -2) if h.requires_grad else None
+            gw = (np.swapaxes(x, -1, -2) @ gy).sum(axis=0) if w.requires_grad else None
+            return gx, gw
+
+        gkeys_v, gwv = project(keys, wv, np.swapaxes(probs, -1, -2) @ gctx)
+        gkeys_k, gwk = project(keys, wk, np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2))
+        gh_q, gwq = project(h.data, wq, gs @ k)
+        gh = None
+        if h.requires_grad:  # associated as the tape sums: keys (v + k), then h
+            gkeys = gkeys_v + gkeys_k
+            if key_count is None:
+                gh = gkeys + gh_q
+            else:
+                padded = np.zeros_like(h.data)
+                padded[:, :key_count] = gkeys
+                gh = gh_q + padded
+        return gh, gwq, gwk, gwv, gwo
+
+    return _record("attention", out, parents, backward), (k, v)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ValueError("row-count range must be non-empty with at least 4 rows")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unsupported dtype '{self.dtype}'")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
 
     @property
     def effective_batch(self) -> int:

@@ -157,6 +157,11 @@ class TestCriterion1Gradients:
         sidx = rng.integers(0, 3, size=(2, 6))
         worst = max(worst, check_op(
             lambda a: T.scatter_add(a, sidx, 3), [rng.standard_normal((2, 4, 6))], rng))
+        for key_count in (None, 2):
+            worst = max(worst, check_op(
+                lambda *a: T.attention(*a, 2, key_count)[0],
+                [rng.standard_normal((2, 4, 4))]
+                + [rng.standard_normal((4, 4)) / 2.0 for _ in range(4)], rng))
 
         model_err, model_seeds = self._composite_model_path()
         agent_err, agent_seeds = self._composite_agent_path()

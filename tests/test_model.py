@@ -38,6 +38,14 @@ class TestEpisodeType:
             _forward_episode_losses(model, [ds], 5, None)
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("heads,width", [(0, 16), (-2, 4)])
+    def test_head_count_below_one_refused(self, heads, width):
+        # n_heads=0 used to raise ZeroDivisionError and -2 heads were accepted
+        with pytest.raises(ValueError, match="n_heads"):
+            tiny_cfg(n_heads=heads, d_model=width)
+
+
 class TestEmbedding:
     def test_narrow_input_zero_padded(self):
         m = Model(tiny_cfg(), seed=0)
@@ -353,3 +361,79 @@ class TestForwardClassification:
         assert out.shape == (B, n - l, C)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(out.data >= 0)
+
+
+def reference_attention(h, wq, wk, wv, wo, heads, key_count=None, kv=None):
+    """The attention block as the primitive composition T.attention replaced,
+    with kv a (k, v) pair of Tensors."""
+    B, n, d = h.shape
+    dh = d // heads
+
+    def split(t):
+        t = T.reshape(t, (B, t.shape[1], heads, dh))
+        return T.permute(t, (0, 2, 1, 3))
+
+    keys = h if key_count is None or kv is not None else h[:, :key_count]
+    q = split(T.matmul(h, wq))
+    k, v = kv or (split(T.matmul(keys, wk)), split(T.matmul(keys, wv)))
+    scores = T.mul(T.matmul(q, T.swap_last(k)), 1.0 / np.sqrt(dh))
+    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B, n, d))
+    return T.matmul(ctx, wo), (k, v)
+
+
+class TestAttentionMatchesComposition:
+    """T.attention is bytewise the composition it replaced: forward output,
+    cached keys and values, and every input gradient."""
+
+    @staticmethod
+    def inputs(dtype, B=2, n=7, d=12, seed=40):  # 1/sqrt(d / heads) inexact
+        rng = np.random.default_rng(seed)
+        return ([rng.standard_normal((B, n, d)).astype(dtype)]
+                + [(rng.standard_normal((d, d)) / np.sqrt(d)).astype(dtype)
+                   for _ in range(4)])
+
+    # (input dtype, default dtype): float32 inputs under a float64 default
+    # promote at the score scale, as T.mul did
+    @pytest.mark.parametrize("dtype,default", [(np.float32, np.float32),
+                                               (np.float64, np.float64),
+                                               (np.float32, np.float64)])
+    @pytest.mark.parametrize("key_count", [None, 4])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_forward_and_gradients_bytewise(self, dtype, default, key_count, heads):
+        arrays = self.inputs(dtype)
+        proj = np.random.default_rng(41).standard_normal(arrays[0].shape).astype(dtype)
+        results = []
+        with T.dtype_scope(default):
+            for op in (reference_attention, T.attention):
+                tensors = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
+                with T.Tape() as tape:
+                    out, (k, v) = op(*tensors, heads, key_count)
+                    tape.backward(T.sum_(T.mul(out, Tensor(proj))))
+                k, v = (t.data if isinstance(t, Tensor) else t for t in (k, v))
+                results.append([out.data, k, v] + [t.grad for t in tensors])
+        for want, got in zip(*results):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert results[1][0].dtype == default  # the output
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_cached_keys_and_values_bytewise(self, dtype, heads):
+        h, *weights = self.inputs(dtype)
+        with T.dtype_scope(dtype):
+            context, queries = Tensor(h[:, :4]), Tensor(h[:, 4:])
+            _, kv_ref = reference_attention(context, *weights, heads)
+            want, _ = reference_attention(queries, *weights, heads, 4, kv_ref)
+            _, kv = T.attention(context, *weights, heads)
+            got, kv_again = T.attention(queries, *weights, heads, 4, kv)
+        assert all(a is b for a, b in zip(kv_again, kv))  # attended, not recomputed
+        for a, b in zip(kv, kv_ref):
+            assert a.tobytes() == b.data.tobytes()
+        assert got.data.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+
+    def test_one_tape_node_per_call(self):
+        tensors = [Tensor(a, requires_grad=True) for a in self.inputs(np.float64)]
+        with T.Tape() as tape:
+            T.attention(*tensors, 2, 4)
+        assert len(tape) == 1

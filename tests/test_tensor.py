@@ -235,11 +235,59 @@ class TestGradOracle:
         check_op(lambda a: T.scatter_add(a, idx, 4), [v], rng)
 
     @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("key_count", [None, 3])
+    def test_attention(self, seed, key_count):
+        rng = rng_for(5700 + seed)
+        d = 4
+        arrays = [rng.standard_normal((2, 5, d))] + [
+            rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)]
+        check_op(lambda *a: T.attention(*a, 2, key_count)[0], arrays, rng)
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_min_max_unique_extrema(self, seed):
         rng = rng_for(5600 + seed)
         x = rng.permutation(np.linspace(-2.0, 2.0, 12)).reshape(3, 4)
         check_op(T.min_, [x], rng)
         check_op(T.max_, [x], rng)
+
+
+class TestAttentionRefusals:
+    @staticmethod
+    def inputs(d=6):
+        rng = rng_for(5800)
+        return ([T.Tensor(rng.standard_normal((1, 4, d)), requires_grad=True)]
+                + [T.Tensor(rng.standard_normal((d, d)), requires_grad=True)
+                   for _ in range(4)])
+
+    @pytest.mark.parametrize("heads", [0, 4])
+    def test_heads_must_divide_the_width(self, heads):
+        with pytest.raises(T.ShapeMismatch, match="attention"):
+            T.attention(*self.inputs(), heads)
+
+    def test_weights_must_be_square_in_the_width(self):
+        h, wq, wk, wv, wo = self.inputs()
+        with pytest.raises(T.ShapeMismatch, match="attention"):
+            T.attention(h, wq, wk, T.Tensor(np.zeros((6, 4))), wo, 2)
+
+    def test_cached_keys_refused_under_a_recording_tape(self):
+        tensors = self.inputs()
+        _, kv = T.attention(*tensors, 2)
+        T.attention(*tensors, 2, kv=kv)  # off the tape the cache serves
+        with T.Tape():
+            with pytest.raises(T.TensorError, match="no gradient"):
+                T.attention(*tensors, 2, kv=kv)
+
+
+class TestInPlaceSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytewise_equal_to_three_temporaries(self, dtype):
+        a = rng_for(5900).standard_normal((3, 5, 40)).astype(dtype) * 10
+        for axis, x in ((-1, a), (1, a), (-1, a[:, :, 3:17])):
+            shifted = x - x.max(axis=axis, keepdims=True)
+            e = np.exp(shifted)
+            want = e / e.sum(axis=axis, keepdims=True)
+            got = T.softmax(T.Tensor(x, dtype=dtype), axis=axis).data
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestScatterRouting:

@@ -344,6 +344,11 @@ class TestPretrain:
                  resume_from=tmp_path / "half.ckpt")
         assert cut.read_text() == full
 
+    def test_eval_every_below_one_refused(self):
+        # eval_every=0 used to run step 0 and then divide by zero before any checkpoint
+        with pytest.raises(ValueError, match="eval_every"):
+            small_train_cfg(eval_every=0)
+
     def test_resume_rejects_config_drift(self, tmp_path):
         cfg = small_train_cfg(total_datasets=8)
         pretrain(cfg, MODEL_CFG, SPACE, checkpoint_path=tmp_path / "a.ckpt")
