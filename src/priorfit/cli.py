@@ -20,7 +20,7 @@ import numpy as np
 
 from .agents import AgentConfig
 from .config import RunManifest, load_run_config
-from .data_io import ingest_csv, ingest_features_with_schema, read_table, TARGET
+from .data_io import ingest_csv, ingest_features_with_schema, TARGET
 from .diversity import ordinary_vs_adversarial
 from .infer import predict
 from .metrics import mse, roc_auc_ovo, score_summary
@@ -105,8 +105,7 @@ def _cmd_evaluate(args) -> int:
     matrix = []
     t0 = time.time()
     for di, path in enumerate(suite):
-        target = args.target or read_table(path)[0][-1]
-        ds, _ = ingest_csv(path, target)
+        ds, _ = ingest_csv(path, args.target)
         scores = []
         for s in range(args.splits):
             rng = derive_rng(args.seed, NS_EVAL, di, s)

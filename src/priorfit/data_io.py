@@ -141,16 +141,18 @@ def _read_columns(path) -> tuple[dict[str, list[str]], int]:
              for j, name in enumerate(header)}, len(rows))
 
 
-def ingest_csv(path, target: str,
+def ingest_csv(path, target: Optional[str] = None,
                overrides: Optional[dict[str, str]] = None
                ) -> tuple[Dataset, list[ColumnSchema]]:
     """Parse a CSV into the engine's dataset form plus its column schemas.
 
-    `overrides` pins a column's kind ('numeric' or 'categorical'), including
-    the target (categorical target means classification).
+    The target is the last header column unless named. `overrides` pins a
+    column's kind ('numeric' or 'categorical'), including the target
+    (categorical target means classification).
     """
     overrides = overrides or {}
     columns, n = _read_columns(path)
+    target = list(columns)[-1] if target is None else target
     if target not in columns:
         raise ValueError(f"{path}: target column '{target}' not found")
     if n == 0:

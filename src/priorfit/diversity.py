@@ -109,7 +109,6 @@ def build_adversarial_collection(model: Model, space, agent_cfg: AgentConfig,
                 ds = generate_dataset(agent.generator, n_rows, ep_seed, soft=True)
                 loss = _forward_episode_losses(model, [ds], max(2, n_rows // 2), None)
                 tape.backward(loss)
-                tape.clear()
             ascend_or_reset(agent)
             T.zero_grads(model.parameters())
         except RuntimeError:

@@ -175,12 +175,12 @@ class Model:
 
     # -- embedding --------------------------------------------------------
 
-    def _attention(self, h: Tensor, key_count: Optional[int], prefix: str,
+    def _attention(self, h: Tensor, key_count: int, prefix: str,
                    kv: Optional[dict] = None) -> Tensor:
         """Multi-head attention of every row of h over the first key_count rows
-        of h (all rows when None), projected after the queries. kv caches the
-        head-split keys and values per block: an entry present is attended
-        to instead, a missing one is stored."""
+        of h, projected after the queries. kv caches the head-split keys and
+        values per block: an entry present is attended to instead, a missing
+        one is stored."""
         weights = (self.params[f"{prefix}/attn/{w}"] for w in ("wq", "wk", "wv", "wo"))
         out, kv_arrays = T.attention(h, *weights, self.cfg.n_heads, key_count,
                                      None if kv is None else kv.get(prefix))
@@ -188,10 +188,10 @@ class Model:
             kv.setdefault(prefix, kv_arrays)
         return out
 
-    def _block(self, x: Tensor, key_count: Optional[int], prefix: str,
+    def _block(self, x: Tensor, key_count: int, prefix: str,
                kv: Optional[dict] = None) -> Tensor:
         """Pre-norm transformer block; attention keys are the first key_count
-        rows (test masking), all rows when None, or the block's kv entry."""
+        rows (test masking) or the block's kv entry."""
         p = self.params
         h = T.layer_norm(x, p[f"{prefix}/ln1/gain"], p[f"{prefix}/ln1/bias"])
         x = T.add(x, self._attention(h, key_count, prefix, kv))
@@ -224,9 +224,10 @@ class Model:
         Pooling is over unordered patch embeddings; no positional encoding."""
         cfg = self.cfg
         B, n, d = x.shape
-        x = T.reshape(x, (B * n, d // cfg.feature_width, cfg.feature_width))
+        patches = d // cfg.feature_width
+        x = T.reshape(x, (B * n, patches, cfg.feature_width))
         e = T.add(T.matmul(x, self.params["embed/w"]), self.params["embed/b"])
-        e = self._block(e, None, "patch_block")
+        e = self._block(e, patches, "patch_block")
         pooled = T.mean(e, axis=1)
         return T.reshape(pooled, (B, n, cfg.d_model))
 

@@ -326,9 +326,9 @@ def normalize_dataset(d: Dataset) -> Dataset:
     """Normalize predictors (and the response, for regression) within the dataset."""
     if d.n < 2:
         raise ValueError("normalize_dataset needs at least 2 rows")
-    x = normalize_columns(d.X)
-    y = normalize_columns(T.reshape(d.y_values, (-1, 1)))
-    y = T.reshape(y, (-1,)) if d.task == REGRESSION else d.y_values
+    x, y = normalize_columns(d.X), d.y_values
+    if d.task == REGRESSION:
+        y = T.reshape(normalize_columns(T.reshape(y, (-1, 1))), (-1,))
     return replace(d, X=x, y_values=y)
 
 

@@ -10,9 +10,10 @@ Shape rules are deliberately narrow: elementwise ops accept equal shapes,
 0-d scalars, or a right-aligned suffix operand (bias style, broadcast over
 leading batch dims). Anything else raises ShapeMismatch naming the op.
 
-Gradients accumulate additively on leaf tensors across backward calls and
-across tapes; intermediate tensors get their per-pass gradient for
-inspection only. A non-finite gradient raises GradientNaN naming the op that
+A tape owns its graph: `backward` runs once, adds gradients to leaf tensors
+only (so they accumulate across tapes) and frees each node once the reverse
+sweep has passed it; leaving the `with` block, also by an exception, frees
+the rest. A non-finite gradient raises GradientNaN naming the op that
 produced it; multi-head attention is one op (`attention`), so a non-finite
 gradient inside the block is named `attention`.
 """
@@ -107,29 +108,23 @@ class Tensor:
         return slice_(self, key)
 
 
-class _Node:
-    __slots__ = ("name", "out", "parents", "backward")
-
-    def __init__(self, name, out, parents, backward):
-        self.name = name
-        self.out = out
-        self.parents = parents
-        self.backward = backward
-
-
 _ACTIVE_TAPE: Optional["Tape"] = None
 
 
 class Tape:
-    """Ordered record of primitive ops; replayed in reverse for backward.
+    """Ordered record of primitive ops, each a node (name, output, parents,
+    backward closure); replayed in reverse for backward.
 
     Execution order is a topological order by construction, so the reverse
-    sweep visits every node after all of its consumers. One tape per worker;
+    sweep visits every node after all of its consumers. The tape owns its
+    graph: backward runs once and frees each node as the sweep passes it, and
+    leaving the `with` block frees the nodes still held. One tape per worker;
     a live tape must not be shared across workers.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple] = []
+        self._open = True  # until backward starts or the block is left
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -141,41 +136,43 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = None
+        self._open = False
+        self._nodes.clear()
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def clear(self) -> None:
-        """Drop all nodes, freeing saved intermediates."""
-        self._nodes.clear()
-
     def backward(self, root: Tensor) -> None:
-        """Accumulate d(root)/d(leaf) into every reachable leaf's .grad.
+        """Accumulate d(root)/d(leaf) into every reachable leaf's .grad; no
+        other tensor gets a gradient.
 
-        The root must be a scalar recorded on this tape. Non-finite values in
-        any produced gradient raise GradientNaN naming the primitive.
+        The root must be a scalar recorded on this tape, and backward runs
+        once per tape, inside its `with` block. Non-finite values in any
+        produced gradient raise GradientNaN naming the primitive.
         """
+        if not self._open:
+            raise TensorError("backward runs once per tape, inside its with block")
         if root.data.size != 1:
             raise ShapeMismatch("backward(root must be scalar)", root.shape)
         if root._producer is not self:
             raise TensorError("backward root is not recorded on this tape")
+        self._open = False
         upstream: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-        root.grad = upstream[id(root)]
-        for node in reversed(self._nodes):
-            g = upstream.pop(id(node.out), None)
+        while self._nodes:
+            name, out, parents, backward = self._nodes.pop()
+            g = upstream.pop(id(out), None)
             if g is None:
                 continue
-            node.out.grad = g
-            for parent, pg in zip(node.parents, node.backward(g)):
+            for parent, pg in zip(parents, backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 if not np.isfinite(pg).all():
-                    raise GradientNaN(node.name)
+                    raise GradientNaN(name)
                 if parent._producer is self:
                     acc = upstream.get(id(parent))
                     upstream[id(parent)] = pg if acc is None else acc + pg
                 else:
-                    # leaf: accumulate across backward calls
+                    # leaf: accumulate across tapes
                     parent.grad = pg.copy() if parent.grad is None else parent.grad + pg
 
 
@@ -192,7 +189,7 @@ def _record(name: str, out_arr: np.ndarray, parents: Sequence[Tensor],
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._producer = tape
-        tape._nodes.append(_Node(name, out, tuple(parents), backward))
+        tape._nodes.append((name, out, tuple(parents), backward))
     return out
 
 
@@ -484,12 +481,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record("layer_norm", out, (x, gain, bias), backward)
 
 
-def attention(h, wq, wk, wv, wo, heads: int, key_count: Optional[int] = None,
+def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
               kv: Optional[tuple] = None) -> tuple[Tensor, tuple]:
     """Multi-head attention of every row of h (B, n, d) over its first
-    key_count rows (all rows when None), or over cached head-split keys and
-    values kv, projected out by wo. Returns the output and the (k, v) arrays,
-    each (B, heads, keys, d / heads).
+    key_count rows, or over cached head-split keys and values kv, projected
+    out by wo. Returns the output and the (k, v) arrays, each (B, heads,
+    keys, d / heads).
 
     One op per call: the scaled scores, their max-shift, exp and
     normalization share the one buffer the score GEMM returns. Values and
@@ -518,7 +515,7 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: Optional[int] = None,
     def merge(a):  # (B, heads, m, dh) -> (B, m, d) copy
         return a.transpose(0, 2, 1, 3).reshape(B, a.shape[2], d)
 
-    keys = h.data if key_count is None else h.data[:, :key_count]
+    keys = h.data[:, :key_count]
     q = split(h.data @ wq.data)
     if kv is None:
         k, v = split(keys @ wk.data), split(keys @ wv.data)
@@ -552,12 +549,11 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: Optional[int] = None,
         gh = None
         if h.requires_grad:  # associated as the tape sums: keys (v + k), then h
             gkeys = gkeys_v + gkeys_k
-            if key_count is None:
-                gh = gkeys + gh_q
-            else:
+            if key_count < n:  # rows past the keys get no key gradient
                 padded = np.zeros_like(h.data)
                 padded[:, :key_count] = gkeys
-                gh = gh_q + padded
+                gkeys = padded
+            gh = gh_q + gkeys
         return gh, gwq, gwk, gwv, gwo
 
     return _record("attention", out, parents, backward), (k, v)

@@ -286,10 +286,10 @@ def train_step(model: Model, agents: list[AgentState], cfg: TrainConfig,
                 loss = T.mul(loss_sum, 1.0 / (m * k))
                 step_nll += float(loss.data)
                 tape.backward(loss)
-                tape.clear()
     except T.GradientNaN as err:
         skipped = True
-        log.warning("step %d skipped: %s", step, err)
+        # str: a record kept by a handler must not keep the sweep's frames
+        log.warning("step %d skipped: %s", step, str(err))
         T.zero_grads(_all_params(model, agents))
         for agent in agents:
             agent.reset(reason="nan-gradients")

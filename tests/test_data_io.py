@@ -54,6 +54,12 @@ class TestIngest:
         assert ds.d == 1
         assert [s.name for s in schemas] == ["b", "y"]
 
+    def test_target_defaults_to_last_header_column(self, tmp_path):
+        path = write(tmp_path, "t.csv", "y,a,b\n0,1.0,x\n1,2.0,y\n0,3.0,z\n")
+        ds, schemas = ingest_csv(path)
+        assert schemas[-1].name == "b" and schemas[-1].kind == "target"
+        assert [s.name for s in schemas[:-1]] == ["y", "a"]
+
     def test_absent_target_rejected(self, tmp_path):
         path = write(tmp_path, "t.csv", "a,y\n1,0\n")
         with pytest.raises(ValueError):

@@ -98,7 +98,7 @@ class TestPatchEmbedding:
         out = m._patch_embed(Tensor(x))
         e = T.add(T.matmul(Tensor(x.reshape(5, 1, 4)), m.params["embed/w"]),
                   m.params["embed/b"])
-        ref = T.mean(m._block(e, None, "patch_block"), axis=1)
+        ref = T.mean(m._block(e, 1, "patch_block"), axis=1)
         np.testing.assert_allclose(out.data[0], ref.data, atol=1e-12)
 
     def test_duplicated_patch_collapses_to_single(self):
@@ -398,6 +398,7 @@ class TestAttentionMatchesComposition:
     @pytest.mark.parametrize("dtype,default", [(np.float32, np.float32),
                                                (np.float64, np.float64),
                                                (np.float32, np.float64)])
+    # None: the reference is full self-attention, T.attention names all rows
     @pytest.mark.parametrize("key_count", [None, 4])
     @pytest.mark.parametrize("heads", [1, 2])
     def test_forward_and_gradients_bytewise(self, dtype, default, key_count, heads):
@@ -405,10 +406,11 @@ class TestAttentionMatchesComposition:
         proj = np.random.default_rng(41).standard_normal(arrays[0].shape).astype(dtype)
         results = []
         with T.dtype_scope(default):
-            for op in (reference_attention, T.attention):
+            for op, keys in ((reference_attention, key_count),
+                             (T.attention, key_count or arrays[0].shape[1])):
                 tensors = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
                 with T.Tape() as tape:
-                    out, (k, v) = op(*tensors, heads, key_count)
+                    out, (k, v) = op(*tensors, heads, keys)
                     tape.backward(T.sum_(T.mul(out, Tensor(proj))))
                 k, v = (t.data if isinstance(t, Tensor) else t for t in (k, v))
                 results.append([out.data, k, v] + [t.grad for t in tensors])
@@ -425,7 +427,7 @@ class TestAttentionMatchesComposition:
             context, queries = Tensor(h[:, :4]), Tensor(h[:, 4:])
             _, kv_ref = reference_attention(context, *weights, heads)
             want, _ = reference_attention(queries, *weights, heads, 4, kv_ref)
-            _, kv = T.attention(context, *weights, heads)
+            _, kv = T.attention(context, *weights, heads, 4)
             got, kv_again = T.attention(queries, *weights, heads, 4, kv)
         assert all(a is b for a, b in zip(kv_again, kv))  # attended, not recomputed
         for a, b in zip(kv, kv_ref):
@@ -436,4 +438,4 @@ class TestAttentionMatchesComposition:
         tensors = [Tensor(a, requires_grad=True) for a in self.inputs(np.float64)]
         with T.Tape() as tape:
             T.attention(*tensors, 2, 4)
-        assert len(tape) == 1
+            assert len(tape) == 1

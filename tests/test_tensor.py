@@ -69,13 +69,6 @@ class TestBackwardBasics:
             tape.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
-    def test_root_grad_is_one(self):
-        x = T.Tensor([3.0], requires_grad=True)
-        with T.Tape() as tape:
-            loss = T.sum_(x)
-            tape.backward(loss)
-        np.testing.assert_array_equal(loss.grad, [1.0])
-
     def test_log_softmax_identity(self):
         # d/dz of log softmax(z)[k] is softmax(z) - onehot(k)
         z = T.Tensor([0.3, -1.2, 2.0], requires_grad=True)
@@ -104,13 +97,14 @@ class TestBackwardBasics:
             tape.backward(loss)
 
     def test_accumulation_additive(self):
+        # leaf gradients accumulate across tapes, one backward each
         x = T.Tensor([1.0, -2.0, 0.5], requires_grad=True)
-        with T.Tape() as tape:
-            loss = T.sum_(T.mul(T.tanh(x), x))
-            tape.backward(loss)
-            once = x.grad.copy()
-            tape.backward(loss)
-        np.testing.assert_allclose(x.grad, 2.0 * once, rtol=1e-12)
+        grads = []
+        for _ in range(2):
+            with T.Tape() as tape:
+                tape.backward(T.sum_(T.mul(T.tanh(x), x)))
+            grads.append(x.grad.copy())
+        np.testing.assert_allclose(grads[1], 2.0 * grads[0], rtol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_gradient_names_primitive(self):
@@ -121,19 +115,75 @@ class TestBackwardBasics:
                 tape.backward(loss)
         assert ei.value.op == "log"
 
-    def test_clear_frees_nodes(self):
-        x = T.Tensor([1.0], requires_grad=True)
-        tape = T.Tape()
-        with tape:
-            T.tanh(x)
-        assert len(tape) == 1
-        tape.clear()
-        assert len(tape) == 0
-
     def test_no_recording_without_tape(self):
         x = T.Tensor([1.0], requires_grad=True)
         out = T.tanh(x)
         assert out._producer is None and not out.requires_grad
+
+
+class TestTapeLifetime:
+    """The tape owns its graph: backward runs once, frees the nodes it has
+    passed and writes gradients to leaves only; leaving the block frees the
+    rest."""
+
+    def test_backward_frees_every_node(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.sum_(T.mul(T.tanh(x), x))
+            assert len(tape) == 3
+            tape.backward(loss)
+            assert len(tape) == 0
+
+    def test_gradients_go_to_leaves_only(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.Tape() as tape:
+            hidden = T.tanh(x)
+            loss = T.sum_(T.mul(hidden, x))
+            tape.backward(loss)
+        assert x.grad is not None
+        assert hidden.grad is None and loss.grad is None
+
+    def test_second_backward_refused(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.sum_(T.tanh(x))
+            tape.backward(loss)
+            once = x.grad.copy()
+            with pytest.raises(T.TensorError, match="once"):
+                tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, once)
+
+    def test_backward_after_the_block_refused(self):
+        x = T.Tensor([1.0], requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.sum_(T.tanh(x))
+        with pytest.raises(T.TensorError, match="once"):
+            tape.backward(loss)
+        assert x.grad is None
+
+    def test_leaving_the_block_frees_nodes_without_backward(self):
+        x = T.Tensor([1.0], requires_grad=True)
+        with T.Tape() as tape:
+            T.tanh(x)
+            assert len(tape) == 1
+        assert len(tape) == 0
+
+    def test_leaving_the_block_by_exception_frees_nodes(self):
+        x = T.Tensor([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.Tape() as tape:
+                T.tanh(T.tanh(x))
+                raise RuntimeError("forward failed")
+        assert len(tape) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_cut_short_frees_nodes_on_exit(self):
+        x = T.Tensor([0.0], requires_grad=True)
+        with pytest.raises(T.GradientNaN):
+            with T.Tape() as tape:
+                loss = T.sum_(T.tanh(T.log(x)))  # log's gradient 1/0 -> inf
+                tape.backward(loss)
+        assert len(tape) == 0
 
 
 class TestGradOracle:
@@ -235,13 +285,13 @@ class TestGradOracle:
         check_op(lambda a: T.scatter_add(a, idx, 4), [v], rng)
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("key_count", [None, 3])
+    @pytest.mark.parametrize("key_count", [None, 3])  # None: all 5 rows
     def test_attention(self, seed, key_count):
         rng = rng_for(5700 + seed)
         d = 4
         arrays = [rng.standard_normal((2, 5, d))] + [
             rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)]
-        check_op(lambda *a: T.attention(*a, 2, key_count)[0], arrays, rng)
+        check_op(lambda *a: T.attention(*a, 2, key_count or 5)[0], arrays, rng)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_min_max_unique_extrema(self, seed):
@@ -262,20 +312,20 @@ class TestAttentionRefusals:
     @pytest.mark.parametrize("heads", [0, 4])
     def test_heads_must_divide_the_width(self, heads):
         with pytest.raises(T.ShapeMismatch, match="attention"):
-            T.attention(*self.inputs(), heads)
+            T.attention(*self.inputs(), heads, 4)
 
     def test_weights_must_be_square_in_the_width(self):
         h, wq, wk, wv, wo = self.inputs()
         with pytest.raises(T.ShapeMismatch, match="attention"):
-            T.attention(h, wq, wk, T.Tensor(np.zeros((6, 4))), wo, 2)
+            T.attention(h, wq, wk, T.Tensor(np.zeros((6, 4))), wo, 2, 4)
 
     def test_cached_keys_refused_under_a_recording_tape(self):
         tensors = self.inputs()
-        _, kv = T.attention(*tensors, 2)
-        T.attention(*tensors, 2, kv=kv)  # off the tape the cache serves
+        _, kv = T.attention(*tensors, 2, 4)
+        T.attention(*tensors, 2, 4, kv)  # off the tape the cache serves
         with T.Tape():
             with pytest.raises(T.TensorError, match="no gradient"):
-                T.attention(*tensors, 2, kv=kv)
+                T.attention(*tensors, 2, 4, kv)
 
 
 class TestInPlaceSoftmax:

@@ -203,6 +203,12 @@ class TestSampleSplit:
         assert stat < chi2.ppf(0.999, hi - lo)
 
 
+def log_with_inf_gradient(a):
+    """T.log whose backward returns inf, to make a step's backward fail."""
+    a = T._as_tensor(a)
+    return T._record("log", np.log(a.data), (a,), lambda g: (np.full_like(a.data, np.inf),))
+
+
 class TestTrainStep:
     def test_deterministic_across_runs(self):
         recs = []
@@ -261,9 +267,11 @@ class TestTrainStep:
             np.testing.assert_allclose(params[0][name], params[1][name],
                                        rtol=1e-6, atol=1e-12, err_msg=name)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_step_tapes_freed_without_cyclic_gc(self, monkeypatch):
-        # Tensor._producer <-> Tape._nodes is a reference cycle; each step
-        # must break it so its graph is freed without the cyclic collector
+        # Tensor._producer <-> Tape._nodes is a reference cycle; the tape
+        # must break it so each step's graph is freed without the cyclic
+        # collector, also on a step whose backward raises GradientNaN
         tapes = []
 
         class RecordedTape(T.Tape):
@@ -282,10 +290,13 @@ class TestTrainStep:
         try:
             for s in range(3):
                 assert not train_step(model, agents, cfg, SPACE, s, adam)["skipped"]
+            with monkeypatch.context() as patch:
+                patch.setattr(T, "log", log_with_inf_gradient)
+                assert train_step(model, agents, cfg, SPACE, 3, adam)["skipped"]
             alive = [t for t in tapes if t() is not None]
         finally:
             gc.enable()
-        assert len(tapes) == 3
+        assert len(tapes) == 4
         assert alive == []
 
 
