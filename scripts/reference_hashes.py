@@ -24,9 +24,11 @@ checkpoint, the one path that predicts in float32, and with 3 and with 105
 features on the patch-mode checkpoint with agents, the one path that predicts
 through the patch embedding; and on the float32 desk checkpoint with a
 LARGE_CONTEXT_ROWS-row context, whose attention scores outgrow the L2 cache.
-Only long-standing names are used (`cli.main`, `export_csv`, `pretrain`,
-`generate_dataset`, `infer.BATCH_CAP`), so one command covers both trees of a
-refactor.
+Last, CLI `predict` on the criterion-12 checkpoint of a hand-written
+classification and regression table (`write_edge_tables`) whose cells
+exercise the CSV ingest rules. Only long-standing names are used
+(`cli.main`, `export_csv`, `pretrain`, `generate_dataset`, `infer.BATCH_CAP`),
+so one command covers both trees of a refactor.
 """
 
 import argparse
@@ -96,6 +98,37 @@ def split_table(work: Path, classification: bool, d: int,
     header, *rows = (work / "table.csv").read_text().splitlines(True)
     (work / "train.csv").write_text(header + "".join(rows[:n]))
     (work / "test.csv").write_text(header + "".join(rows[n:]))
+
+
+MISSING_SPELLINGS = (" NA ", "n/a", "?", "None")
+CATEGORY_SPELLINGS = (" x", "x", "X", "y", '"comma, inside"', '"two\nlines"')
+
+
+def write_edge_tables(work: Path, classification: bool) -> None:
+    """Write train.csv (60 rows) and test.csv (12 rows) whose cells exercise
+    the ingest rules: a numeric column of 22 distinct raw tokens ("1".."11"
+    and " 1".." 11") that strips to 11, "1_000", the missing spellings in
+    MISSING_SPELLINGS, categories that differ by a leading space or by case,
+    a quoted comma and a quoted line break. The test file adds a short row,
+    an unseen category and an unparseable numeric cell."""
+    train = ["num,cat,real,target"]
+    for i in range(60):
+        num = f"{' ' * ((i // 11) % 2)}{i % 11 + 1}"
+        if i == 7:
+            num = "1_000"
+        elif i % 15 == 14:
+            num = MISSING_SPELLINGS[i // 15]
+        cat = "" if i % 13 == 12 else CATEGORY_SPELLINGS[i % len(CATEGORY_SPELLINGS)]
+        real = "" if i % 17 == 16 else f"{(i * 37 % 101) / 7:.4f}"
+        target = ("no", "yes", "maybe")[(i * 7 + i // 5) % 3] if classification \
+            else f"{(i * 29 % 61) * 0.25 - 3:.3f}"
+        train.append(f"{num},{cat},{real},{target}")
+    test = ["num,cat,real",
+            "3,x,1.5", " 4,X,2.25", "5", "oops,y,3.0", "1_000,zebra,0.5",
+            '?,"comma, inside",', "None, x,n/a", '11,"two\nlines",12.0',
+            " 9,,7.125", "2,y,oops", "7,X", "10,x,4.75"]
+    (work / "train.csv").write_text("\n".join(train) + "\n")
+    (work / "test.csv").write_text("\n".join(test) + "\n")
 
 
 def predict_argv(work: Path, checkpoint: Path) -> list:
@@ -201,6 +234,12 @@ def main(src: Path) -> int:
             quiet_cli(predict_argv(work, work / "desk.npz"))
             task = "class" if classification else "regr"
             label = f"predict_desk_{task}_d3_l{LARGE_CONTEXT_ROWS}"
+            print(f"{label:<34} {sha256(work / 'predictions.csv')}")
+
+        for classification in (True, False):
+            write_edge_tables(work, classification)
+            quiet_cli(predict_argv(work, checkpoint))
+            label = f"predict_edge_{'class' if classification else 'regr'}"
             print(f"{label:<34} {sha256(work / 'predictions.csv')}")
     return 0
 

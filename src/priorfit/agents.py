@@ -44,6 +44,10 @@ class AgentConfig:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("adversarial fraction must lie in [0, 1]")
+        if not self.lr >= 0.0:  # a negative rate would descend, easing the data
+            raise ValueError(f"agent lr must be non-negative, got {self.lr}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"agent weight_decay must be non-negative, got {self.weight_decay}")
         if self.temperature <= 0:
             raise ValueError("agent temperature must be positive for gradient flow")
         if self.reset_period < 1:

@@ -1,14 +1,14 @@
 """Dataset ingestion and serialization.
 
-CSV ingestion infers a per-column schema (numeric vs categorical), encodes
-categorical columns ordinally by first appearance, records missing cells in
-a mask (imputation happens downstream, after normalization), and label-
-encodes the target. Every column of the training file, its target and every
-column of a test file encode through the same two functions: `_categories`
-builds a categorical column's mapping, `_encode` applies a column's schema.
-Unparseable numeric cells become missing cells with a warning, in either
-file. Row order is never changed, so row identity survives from file to
-prediction output.
+`read_table` reads a CSV once into its columns. Each cell is then decided
+once per file: one missing mask per column is shared by kind inference
+(numeric vs categorical), category building and encoding. Categorical
+columns and a classification target are coded by first appearance, and
+missing cells are recorded in a mask (imputation happens downstream, after
+normalization). Every column of the training file, its target and every
+column of a test file encode through `_encode`. Unparseable numeric cells
+become missing cells with a warning, in either file. Row order is never
+changed, so row identity survives from file to prediction output.
 
 Datasets export to CSV for round trips through ingestion.
 """
@@ -39,58 +39,52 @@ TARGET = "target"
 class ColumnSchema:
     name: str
     kind: str                                   # numeric | categorical | target
-    categories: Optional[dict[str, int]] = None
-    missing_count: int = 0
-    target_task: Optional[str] = None           # set on the target column
+    categories: Optional[dict[str, int]] = None  # None: numeric
 
 
-def _is_missing(token: str) -> bool:
-    return token.strip().lower() in MISSING_TOKENS
+def _missing_mask(values: list[str]) -> list[bool]:
+    return [v.strip().lower() in MISSING_TOKENS for v in values]
 
 
-def _parses_numeric(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
-def infer_column_kind(values: list[str], n_rows: int) -> str:
-    """Categorical when any token is non-numeric or the distinct count is at
-    most max(20, 5% of rows); numeric otherwise."""
-    observed = [v for v in values if not _is_missing(v)]
+def infer_column_kind(values: list[str], missing: list[bool]) -> str:
+    """Categorical when the distinct count of observed raw tokens is at most
+    max(20, 5% of rows) or any of them is non-numeric; numeric otherwise.
+    Tokens are counted unstripped, so "1" and " 1" are two."""
+    observed = [v for v, m in zip(values, missing) if not m]
     if not observed:
         return NUMERIC
-    if any(not _parses_numeric(v) for v in observed):
+    if len(set(observed)) <= max(20, int(0.05 * len(values))):
         return CATEGORICAL
-    if len(set(observed)) <= max(20, int(0.05 * n_rows)):
+    try:
+        for v in observed:
+            float(v)
+    except ValueError:
         return CATEGORICAL
     return NUMERIC
 
 
-def _categories(values: list[str]) -> dict[str, int]:
+def _categories(values: list[str], missing: list[bool]) -> dict[str, int]:
     """Each observed (stripped) token's code, in order of first appearance."""
     mapping: dict[str, int] = {}
-    for raw in values:
-        if not _is_missing(raw):
+    for raw, m in zip(values, missing):
+        if not m:
             mapping.setdefault(raw.strip(), len(mapping))
     return mapping
 
 
-def _encode(values: list[str], schema: ColumnSchema
+def _encode(values: list[str], missing: list[bool],
+            categories: Optional[dict[str, int]]
             ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Codes, missing mask and unparseable count of one column under its
-    schema. With categories, a token outside them is missing; without, a
-    token that does not parse as a float is missing and counted."""
-    codes = np.zeros(len(values))
-    missing = np.zeros(len(values), dtype=bool)
+    """Codes, missing mask and unparseable count of one column. With
+    categories, a token outside them is missing; without, a token that does
+    not parse as a float is missing and counted."""
+    codes = [0.0] * len(values)
+    missing = list(missing)
     unparseable = 0
-    categories = schema.categories
     for i, raw in enumerate(values):
-        if _is_missing(raw):
-            missing[i] = True
-        elif categories is not None:
+        if missing[i]:
+            continue
+        if categories is not None:
             code = categories.get(raw.strip())
             if code is None:
                 missing[i] = True
@@ -102,7 +96,7 @@ def _encode(values: list[str], schema: ColumnSchema
             except ValueError:
                 missing[i] = True
                 unparseable += 1
-    return codes, missing, unparseable
+    return np.array(codes, dtype=np.float64), np.array(missing, dtype=bool), unparseable
 
 
 def _warn_unparseable(path, name: str, count: int) -> None:
@@ -111,8 +105,9 @@ def _warn_unparseable(path, name: str, count: int) -> None:
                     "treated as missing", path, count, name)
 
 
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows. Columns are keyed by name downstream, so a
+def read_table(path) -> dict[str, list[str]]:
+    """The file's cells keyed by header name, in header order, short rows
+    padded with blank cells. Columns are keyed by name downstream, so a
     repeated name is refused rather than letting one column shadow another.
     A row with more cells than the header (an unquoted comma, say) is refused
     rather than cut, which would shift every later column."""
@@ -121,24 +116,21 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, header row required")
-        rows = []
+        width = len(header)
+        columns = [[] for _ in header]
+        appends = [col.append for col in columns]
         for row in reader:
-            if len(row) > len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
-                                 f"cells, the header {len(header)}")
-            rows.append(row)
+            if len(row) != width:
+                if len(row) > width:
+                    raise ValueError(f"{path}: line {reader.line_num} has "
+                                     f"{len(row)} cells, the header {width}")
+                row += [""] * (width - len(row))
+            for append, cell in zip(appends, row):
+                append(cell)
     repeated = sorted(name for name, k in Counter(header).items() if k > 1)
     if repeated:
         raise ValueError(f"{path}: duplicate column names {repeated}")
-    return header, rows
-
-
-def _read_columns(path) -> tuple[dict[str, list[str]], int]:
-    """The file's cells keyed by column name (short rows padded with blank
-    cells), and its row count."""
-    header, rows = read_table(path)
-    return ({name: [row[j] if j < len(row) else "" for row in rows]
-             for j, name in enumerate(header)}, len(rows))
+    return dict(zip(header, columns))
 
 
 def ingest_csv(path, target: Optional[str] = None,
@@ -151,11 +143,11 @@ def ingest_csv(path, target: Optional[str] = None,
     (categorical target means classification).
     """
     overrides = overrides or {}
-    columns, n = _read_columns(path)
+    columns = read_table(path)
     target = list(columns)[-1] if target is None else target
     if target not in columns:
         raise ValueError(f"{path}: target column '{target}' not found")
-    if n == 0:
+    if not columns[target]:
         raise ValueError(f"{path}: no data rows")
 
     schemas: list[ColumnSchema] = []
@@ -164,16 +156,16 @@ def ingest_csv(path, target: Optional[str] = None,
     for name, values in columns.items():
         if name == target:
             continue
-        if (overrides.get(name) or infer_column_kind(values, n)) == CATEGORICAL:
-            schema = ColumnSchema(name, CATEGORICAL, categories=_categories(values))
+        missing = _missing_mask(values)
+        if (overrides.get(name) or infer_column_kind(values, missing)) == CATEGORICAL:
+            schema = ColumnSchema(name, CATEGORICAL, _categories(values, missing))
         else:
             schema = ColumnSchema(name, NUMERIC)
-        codes, missing, unparseable = _encode(values, schema)
+        codes, missing, unparseable = _encode(values, missing, schema.categories)
         _warn_unparseable(path, name, unparseable)
         if missing.all():
             log.warning("%s: column '%s' is entirely missing, dropped", path, name)
             continue
-        schema.missing_count = int(missing.sum())
         schemas.append(schema)
         feature_cols.append(codes)
         feature_missing.append(missing)
@@ -182,24 +174,24 @@ def ingest_csv(path, target: Optional[str] = None,
         raise ValueError(f"{path}: no usable feature columns")
 
     t_values = columns[target]
-    if any(_is_missing(v) for v in t_values):
+    t_missing = _missing_mask(t_values)
+    if any(t_missing):
         raise ValueError(f"{path}: target column '{target}' has missing cells")
-    if (overrides.get(target) or infer_column_kind(t_values, n)) == CATEGORICAL:
-        t_schema = ColumnSchema(target, TARGET, categories=_categories(t_values),
-                                target_task=CLASSIFICATION)
+    if (overrides.get(target) or infer_column_kind(t_values, t_missing)) == CATEGORICAL:
+        t_schema = ColumnSchema(target, TARGET, _categories(t_values, t_missing))
     else:
-        t_schema = ColumnSchema(target, TARGET, target_task=REGRESSION)
-    y, _, unparseable = _encode(t_values, t_schema)
+        t_schema = ColumnSchema(target, TARGET)
+    y, _, unparseable = _encode(t_values, t_missing, t_schema.categories)
     if unparseable:
         raise ValueError(f"{path}: target column '{target}' has {unparseable} "
                          "cells that do not parse as numbers")
-    classification = t_schema.target_task == CLASSIFICATION
+    classification = t_schema.categories is not None
     ds = Dataset(
         X=Tensor(np.stack(feature_cols, axis=1)),
         y_values=Tensor(y),
         y_labels=y.astype(int) if classification else None,
         cat_mask=np.array([s.kind == CATEGORICAL for s in schemas]),
-        task=t_schema.target_task,
+        task=CLASSIFICATION if classification else REGRESSION,
         n_classes=len(t_schema.categories) if classification else None,
         missing_mask=np.stack(feature_missing, axis=1))
     return ds, schemas + [t_schema]
@@ -210,14 +202,15 @@ def ingest_features_with_schema(path, schemas: list[ColumnSchema]
     """Parse a feature-only CSV using a previously inferred schema (the
     training file's encoding). Unseen category strings become missing cells,
     and so do unparseable numeric cells, with a warning."""
-    columns, _ = _read_columns(path)
+    columns = read_table(path)
     feats, missing = [], []
     for schema in schemas:
         if schema.kind == TARGET:
             continue
-        if schema.name not in columns:
+        values = columns.get(schema.name)
+        if values is None:
             raise ValueError(f"{path}: column '{schema.name}' missing")
-        codes, miss, unparseable = _encode(columns[schema.name], schema)
+        codes, miss, unparseable = _encode(values, _missing_mask(values), schema.categories)
         _warn_unparseable(path, schema.name, unparseable)
         feats.append(codes)
         missing.append(miss)
@@ -225,19 +218,16 @@ def ingest_features_with_schema(path, schemas: list[ColumnSchema]
 
 
 def export_csv(ds: Dataset, path, target_name: str = "target") -> None:
-    """Plain-text dump: feature columns x0..x{d-1} then the target. Missing
-    cells are written as empty tokens."""
+    """Plain-text dump, one row of Python values at a time: feature columns
+    x0..x{d-1} then the target. Missing cells are written as empty tokens."""
+    classification = ds.task == CLASSIFICATION
+    y = ds.y_labels if classification else ds.y_values.data
+    missing = (ds.missing_mask if ds.missing_mask is not None
+               else np.zeros((ds.n, ds.d), dtype=bool))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j}" for j in range(ds.d)] + [target_name])
-        y = ds.y_labels if ds.task == CLASSIFICATION else ds.y_values.data
-        for i in range(ds.n):
-            row = []
-            for j in range(ds.d):
-                if ds.missing_mask is not None and ds.missing_mask[i, j]:
-                    row.append("")
-                else:
-                    row.append(repr(float(ds.X.data[i, j])))
-            row.append(str(int(y[i])) if ds.task == CLASSIFICATION
-                       else repr(float(y[i])))
+        for x_row, m_row, t in zip(ds.X.data, missing, y):
+            row = ["" if m else repr(v) for v, m in zip(x_row.tolist(), m_row.tolist())]
+            row.append(str(int(t)) if classification else repr(float(t)))
             writer.writerow(row)

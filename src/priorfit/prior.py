@@ -66,7 +66,10 @@ class GeneratorHyperSpace:
         _check_range("class_count", *self.class_count, minimum=2)
         _check_range("cardinality", *self.cardinality, minimum=2)
         _check_range("dropout", *self.dropout)
-        _check_range("noise_scale", *self.noise_scale)
+        _check_range("noise_scale", *self.noise_scale, minimum=0.0)
+        _check_range("categorical_fraction", *self.categorical_fraction, minimum=0.0)
+        if self.categorical_fraction[1] > 1.0:
+            raise ValueError("categorical_fraction must lie in [0, 1]")
         if not self.activations:
             raise ValueError("activations: empty choice set")
         if not (0.0 <= self.dropout[0] and self.dropout[1] < 1.0):

@@ -54,6 +54,8 @@ class TrainConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        if not self.model_lr >= 0.0:
+            raise ValueError(f"model_lr must be non-negative, got {self.model_lr}")
         if self.datasets_per_step < 1 or self.accumulation_steps < 1:
             raise ValueError("effective batch size must be at least 1")
         if self.total_datasets < self.effective_batch:

@@ -33,6 +33,12 @@ class TestAgentConfig:
         with pytest.raises(ValueError):
             AgentConfig(reset_period=0)
 
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    def test_negative_rate_refused(self, field):
+        # a negative lr makes the ascent descend, so the agents ease the data
+        with pytest.raises(ValueError, match=f"agent {field} must be non-negative"):
+            AgentConfig(**{field: -0.1})
+
 
 class TestMakeAgents:
     def test_composition_rounds_and_stays_fixed(self):

@@ -17,18 +17,18 @@ def write(tmp_path, name, text):
 
 class TestSchemaInference:
     def test_non_numeric_tokens_force_categorical(self):
-        assert infer_column_kind(["a", "b", "a"], 3) == "categorical"
+        assert infer_column_kind(["a", "b", "a"], [False] * 3) == "categorical"
 
     def test_low_cardinality_numeric_is_categorical(self):
         values = [str(i % 3) for i in range(1000)]
-        assert infer_column_kind(values, 1000) == "categorical"
+        assert infer_column_kind(values, [False] * 1000) == "categorical"
 
     def test_high_cardinality_numeric(self):
         values = [str(i * 0.37) for i in range(1000)]
-        assert infer_column_kind(values, 1000) == "numeric"
+        assert infer_column_kind(values, [False] * 1000) == "numeric"
 
     def test_missing_only_column_defaults_numeric(self):
-        assert infer_column_kind(["", "NA", "?"], 3) == "numeric"
+        assert infer_column_kind(["", "NA", "?"], [True] * 3) == "numeric"
 
 
 class TestIngest:
@@ -45,8 +45,7 @@ class TestIngest:
         ds, schemas = ingest_csv(path, target="y", overrides={"a": "numeric"})
         assert ds.missing_mask[1, 0] and ds.missing_mask[2, 0]
         assert not ds.missing_mask[0, 0]
-        a = next(s for s in schemas if s.name == "a")
-        assert a.missing_count == 2
+        assert ds.missing_mask[:, 0].sum() == 2
 
     def test_fully_missing_column_dropped(self, tmp_path):
         path = write(tmp_path, "t.csv", "a,b,y\n,1.0,0\n,2.0,1\n")
@@ -120,6 +119,39 @@ class TestIngest:
         test = write(tmp_path, "test.csv", "a,b\n1,2\n3,4,5\n")
         with pytest.raises(ValueError, match=r"test\.csv: line 3 has 3 cells"):
             ingest_features_with_schema(test, schemas)
+
+    def test_wide_row_after_multiline_cell_names_its_line(self, tmp_path):
+        # the quoted cell spans lines 2-3, so the wide row is line 5, not row 3
+        path = write(tmp_path, "t.csv", 'a,b,y\n"x\ny",2,0\n3,4,1\n5,6,7,1\n')
+        with pytest.raises(ValueError, match=r"t\.csv: line 5 has 4 cells, the header 3"):
+            ingest_csv(path, target="y")
+
+
+class TestIngestRules:
+    def test_kind_counts_raw_unstripped_tokens(self, tmp_path):
+        # 22 distinct raw tokens exceed max(20, 5% of 60); stripped they are 11
+        tokens = [str(k) for k in range(1, 12)] + [f" {k}" for k in range(1, 12)]
+        rows = "\n".join(f"{tokens[i % 22]},{i % 2}" for i in range(60))
+        ds, schemas = ingest_csv(write(tmp_path, "t.csv", "a,y\n" + rows + "\n"), "y")
+        assert schemas[0].kind == "numeric"
+        np.testing.assert_array_equal(ds.X.data[:22, 0], list(range(1, 12)) * 2)
+
+    def test_missing_spellings(self, tmp_path):
+        path = write(tmp_path, "t.csv", "a,y\n NA ,0\nn/a,1\n?,0\nNone,1\n2.5,0\n")
+        ds, _ = ingest_csv(path, target="y", overrides={"a": "numeric"})
+        np.testing.assert_array_equal(ds.missing_mask[:, 0], [True] * 4 + [False])
+
+    def test_categories_strip_but_keep_case(self, tmp_path):
+        path = write(tmp_path, "t.csv", "f,y\n x,0\nx,1\nX,0\n")
+        ds, schemas = ingest_csv(path, target="y")
+        assert schemas[0].categories == {"x": 0, "X": 1}
+        np.testing.assert_array_equal(ds.X.data[:, 0], [0.0, 0.0, 1.0])
+
+    def test_underscore_digits_parse(self, tmp_path):
+        path = write(tmp_path, "t.csv", "a,y\n1_000,0\n2.5,1\n")
+        ds, _ = ingest_csv(path, target="y", overrides={"a": "numeric"})
+        np.testing.assert_array_equal(ds.X.data[:, 0], [1000.0, 2.5])
+        assert not ds.missing_mask.any()
 
 
 

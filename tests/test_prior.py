@@ -250,6 +250,21 @@ class TestSampleGenerator:
         with pytest.raises(ValueError):
             self.space(feature_count=(5, 2))
 
+    def test_negative_noise_scale_refused(self):
+        # _mlp_readout adds noise only for a positive scale, so a negative
+        # range would quietly mean no noise at all
+        with pytest.raises(ValueError, match="noise_scale"):
+            self.space(noise_scale=(-0.3, -0.1))
+
+    @pytest.mark.parametrize("fraction", [(0.5, 0.2), (1.5, 2.0), (-0.5, -0.1)])
+    def test_categorical_fraction_outside_unit_interval_refused(self, fraction):
+        with pytest.raises(ValueError, match="categorical_fraction"):
+            self.space(categorical_fraction=fraction)
+
+    def test_zero_noise_and_full_fraction_allowed(self):
+        space = self.space(noise_scale=(0.0, 0.0), categorical_fraction=(0.0, 1.0))
+        sample_generator(space, 3)
+
     def test_selection_disjointness(self):
         for seed in range(25):
             g = sample_generator(self.space(), seed)

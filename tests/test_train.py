@@ -360,6 +360,11 @@ class TestPretrain:
         with pytest.raises(ValueError, match="eval_every"):
             small_train_cfg(eval_every=0)
 
+    def test_negative_model_lr_refused(self):
+        # Adam would climb the NLL
+        with pytest.raises(ValueError, match="model_lr"):
+            small_train_cfg(model_lr=-1.0)
+
     def test_resume_rejects_config_drift(self, tmp_path):
         cfg = small_train_cfg(total_datasets=8)
         pretrain(cfg, MODEL_CFG, SPACE, checkpoint_path=tmp_path / "a.ckpt")
