@@ -24,9 +24,12 @@ checkpoint, the one path that predicts in float32, and with 3 and with 105
 features on the patch-mode checkpoint with agents, the one path that predicts
 through the patch embedding; and on the float32 desk checkpoint with a
 LARGE_CONTEXT_ROWS-row context, whose attention scores outgrow the L2 cache.
-Last, CLI `predict` on the criterion-12 checkpoint of a hand-written
+Then CLI `predict` on the criterion-12 checkpoint of a hand-written
 classification and regression table (`write_edge_tables`) whose cells
-exercise the CSV ingest rules. Only long-standing names are used
+exercise the CSV ingest rules. Last, CLI `predict` on the float32 desk
+checkpoint of MULTI_CHUNK_TEST_ROWS test rows, two full `infer.QUERY_CHUNK`
+decode chunks and a partial one, the only lines that decode more than one
+chunk. Only long-standing names are used
 (`cli.main`, `export_csv`, `pretrain`, `generate_dataset`, `infer.BATCH_CAP`),
 so one command covers both trees of a refactor.
 """
@@ -54,6 +57,7 @@ MIXED_BATCH = 8
 PREDICT_TRAIN_ROWS = 60
 LARGE_CONTEXT_ROWS = 1000
 PREDICT_TEST_ROWS = 20
+MULTI_CHUNK_TEST_ROWS = 600
 SMALL_BATCH_CAP = 50
 SUITE_ROWS = 40
 MISSING_SHARE = 0.1
@@ -91,10 +95,10 @@ def export_table(path: Path, classification: bool, d: int, n: int,
 
 
 def split_table(work: Path, classification: bool, d: int,
-                n: int = PREDICT_TRAIN_ROWS) -> None:
-    """Write train.csv (n rows) and test.csv of a fixed-seed table with d
-    features."""
-    export_table(work / "table.csv", classification, d, n + PREDICT_TEST_ROWS, seed=d)
+                n: int = PREDICT_TRAIN_ROWS, n_test: int = PREDICT_TEST_ROWS) -> None:
+    """Write train.csv (n rows) and test.csv (n_test rows) of a fixed-seed
+    table with d features."""
+    export_table(work / "table.csv", classification, d, n + n_test, seed=d)
     header, *rows = (work / "table.csv").read_text().splitlines(True)
     (work / "train.csv").write_text(header + "".join(rows[:n]))
     (work / "test.csv").write_text(header + "".join(rows[n:]))
@@ -240,6 +244,13 @@ def main(src: Path) -> int:
             write_edge_tables(work, classification)
             quiet_cli(predict_argv(work, checkpoint))
             label = f"predict_edge_{'class' if classification else 'regr'}"
+            print(f"{label:<34} {sha256(work / 'predictions.csv')}")
+
+        for classification in (True, False):
+            split_table(work, classification, 3, n_test=MULTI_CHUNK_TEST_ROWS)
+            quiet_cli(predict_argv(work, work / "desk.npz"))
+            task = "class" if classification else "regr"
+            label = f"predict_desk_{task}_d3_t{MULTI_CHUNK_TEST_ROWS}"
             print(f"{label:<34} {sha256(work / 'predictions.csv')}")
     return 0
 

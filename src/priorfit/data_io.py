@@ -6,8 +6,9 @@ once per file: one missing mask per column is shared by kind inference
 columns and a classification target are coded by first appearance, and
 missing cells are recorded in a mask (imputation happens downstream, after
 normalization). Every column of the training file, its target and every
-column of a test file encode through `_encode`. Unparseable numeric cells
-become missing cells with a warning, in either file. Row order is never
+column of a test file encode through `_encode`. Unparseable numeric cells,
+non-finite ones included, become missing cells with a warning, in either
+file; in the target they are refused. Row order is never
 changed, so row identity survives from file to prediction output.
 
 Datasets export to CSV for round trips through ingestion.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -77,7 +79,8 @@ def _encode(values: list[str], missing: list[bool],
             ) -> tuple[np.ndarray, np.ndarray, int]:
     """Codes, missing mask and unparseable count of one column. With
     categories, a token outside them is missing; without, a token that does
-    not parse as a float is missing and counted."""
+    not parse as a finite float (`inf`, `1e999` and `+nan` do not) is
+    missing and counted."""
     codes = [0.0] * len(values)
     missing = list(missing)
     unparseable = 0
@@ -92,8 +95,12 @@ def _encode(values: list[str], missing: list[bool],
                 codes[i] = code
         else:
             try:
-                codes[i] = float(raw)
+                value = float(raw)
             except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                codes[i] = value
+            else:
                 missing[i] = True
                 unparseable += 1
     return np.array(codes, dtype=np.float64), np.array(missing, dtype=bool), unparseable

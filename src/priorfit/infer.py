@@ -35,6 +35,17 @@ block's head-split key and value arrays, written once by the encode:
 n_blocks x 2 x n_train x d_model floats (plus the two mixture key
 projections of the training states, 2 x n_train x d_model).
 
+The decode chunks fan out over `_decode_workers` threads, as many as the
+usable CPUs the BLAS library leaves idle (CPUs // BLAS threads, at most one
+per chunk), and are concatenated in chunk order. With BLAS threads not
+pinned, OpenBLAS takes every CPU and the decode stays serial. The output
+bytes do not depend on the worker count: each chunk runs the same ops on the
+same rows as in the serial loop, the context is encoded before the fan-out
+and only read by the chunks, each attention call softmaxes in its own scores
+buffer, and the caller's dtype scope holds until every chunk is done.
+`predict` refuses to run under a recording tape, which the threads would
+share. The pool is joined before `predict` returns, also when a chunk raises.
+
 The forward pass runs at the model's parameter dtype (`Model.dtype`): the
 encode and decode run with it as the default dtype, so inputs, padding, gate
 masks, scalar constants and the cache key follow the checkpoint and a
@@ -48,7 +59,9 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -146,6 +159,25 @@ def _encode(model: Model, checksum: int, train_xn: np.ndarray,
     return _encoded[1]
 
 
+def _decode_workers(n_chunks: int) -> int:
+    """Threads that decode n_chunks query chunks: the usable CPUs the BLAS
+    library leaves idle, at most one per chunk and at least one. BLAS threads
+    are read as OpenBLAS reads them at load, from the first of these variables
+    that holds a positive integer; with none, BLAS takes every usable CPU."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:  # unset, or not an integer
+            continue
+        if threads > 0:
+            blas = threads
+            break
+    return max(1, min(n_chunks, cpus // blas))
+
+
 def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
                         test_missing: Optional[np.ndarray], checksum: int
                         ) -> Prediction:
@@ -169,8 +201,14 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
         context = _encode(model, checksum, train_xn, y_train)
 
         def decoded(head) -> list:  # head outputs, QUERY_CHUNK test rows at a time
-            return [head(model.decode(Tensor(test_xn[None, s:s + QUERY_CHUNK]), context))
-                    for s in range(0, max(test_xn.shape[0], 1), QUERY_CHUNK)]
+            def chunk(s):
+                return head(model.decode(Tensor(test_xn[None, s:s + QUERY_CHUNK]), context))
+            starts = range(0, max(test_xn.shape[0], 1), QUERY_CHUNK)
+            workers = _decode_workers(len(starts))
+            if workers == 1:
+                return list(map(chunk, starts))
+            with ThreadPoolExecutor(workers) as pool:
+                return list(pool.map(chunk, starts))
 
         if train.task == CLASSIFICATION:
             probs = decoded(lambda h: model.class_head(
@@ -251,6 +289,8 @@ def predict(model: Model, train: Dataset, test_x: np.ndarray,
     combined, then the members. All draws derive from `seed`."""
     if ensemble < 1:
         raise ValueError("ensemble needs at least one member")
+    if T._ACTIVE_TAPE is not None:  # decode threads would record into it in no fixed order
+        raise T.TensorError("predict refused under a recording tape")
     if test_x.shape[1] != train.d:
         raise ValueError(f"test rows have {test_x.shape[1]} features, "
                          f"training rows have {train.d}")

@@ -153,6 +153,21 @@ class TestIngestRules:
         np.testing.assert_array_equal(ds.X.data[:, 0], [1000.0, 2.5])
         assert not ds.missing_mask.any()
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e999", "+nan"])
+    def test_non_finite_cell_missing_with_warning(self, tmp_path, caplog, token):
+        path = write(tmp_path, "t.csv", f"a,y\n1.5,0\n{token},1\n2.5,0\n")
+        with caplog.at_level(logging.WARNING, logger="priorfit.data_io"):
+            ds, _ = ingest_csv(path, target="y", overrides={"a": "numeric"})
+        np.testing.assert_array_equal(ds.missing_mask[:, 0], [False, True, False])
+        assert np.isfinite(ds.X.data).all()
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warned) == 1 and "1 unparseable cells in numeric column 'a'" in warned[0]
+
+    def test_non_finite_target_rejected(self, tmp_path):
+        path = write(tmp_path, "t.csv", "a,y\n1,2.5\n2,inf\n")
+        with pytest.raises(ValueError, match="1 cells that do not parse"):
+            ingest_csv(path, target="y", overrides={"y": "numeric"})
+
 
 
 class TestSchemaReuse:

@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
+import os
+import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -596,6 +600,103 @@ class TestPredictAtModelDtype:
             with pytest.raises(ValueError, match="capped"):  # refused inside the pass
                 predict(capped, train, rng.standard_normal((2, 3)))
             assert T.default_dtype() is default
+
+
+def decode_workers(monkeypatch, workers):
+    monkeypatch.setattr(infer, "_decode_workers", lambda n_chunks: workers)
+
+
+class TestThreadedDecode:
+    """predict maps its QUERY_CHUNK decode chunks over _decode_workers
+    threads: the bytes do not depend on the worker count, and every thread
+    is joined before predict returns."""
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_test", [1, 256, 257, 1100])
+    def test_bytes_independent_of_worker_count(self, monkeypatch, task, dtype, n_test):
+        model = MODEL if dtype is np.float64 else float32_copy(MODEL)
+        rng = np.random.default_rng(30)
+        train = class_train(rng, n=40) if task == CLASSIFICATION else regr_train(rng, n=40)
+        test_x = rng.standard_normal((n_test, 3))
+        outputs = []
+        for workers in (1, 2):
+            decode_workers(monkeypatch, workers)
+            outputs.append(predicted(model, train, test_x))
+        assert outputs[0].dtype == np.float64
+        assert outputs[0].tobytes() == outputs[1].tobytes()
+
+    def test_bytes_hold_with_more_threads_than_cores_switching_often(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        train = class_train(rng, n=40)
+        test_x = rng.standard_normal((8 * infer.QUERY_CHUNK + 3, 3))
+        decode_workers(monkeypatch, 1)
+        serial = predicted(MODEL, train, test_x)
+        decode_workers(monkeypatch, 9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = predicted(MODEL, train, test_x)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_no_thread_outlives_predict(self, monkeypatch):
+        decode_workers(monkeypatch, 2)
+        rng = np.random.default_rng(32)
+        before = threading.active_count()
+        predict(MODEL, regr_train(rng), rng.standard_normal((600, 3)))
+        assert threading.active_count() == before
+
+    def test_chunk_error_reaches_caller_and_threads_are_joined(self, monkeypatch):
+        decode_workers(monkeypatch, 2)
+        calls, decode = itertools.count(1), Model.decode
+
+        def second_chunk_fails(self, x, context):
+            if next(calls) == 2:
+                raise RuntimeError("chunk decode failed")
+            return decode(self, x, context)
+
+        monkeypatch.setattr(Model, "decode", second_chunk_fails)
+        rng = np.random.default_rng(33)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk decode failed"):
+            predict(MODEL, class_train(rng), rng.standard_normal((600, 3)))
+        assert threading.active_count() == before
+
+    def test_refused_under_a_recording_tape(self):
+        rng = np.random.default_rng(34)
+        with T.Tape() as tape:
+            with pytest.raises(T.TensorError, match="recording tape"):
+                predict(MODEL, class_train(rng), rng.standard_normal((2, 3)))
+            assert len(tape) == 0
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+        ({"GOTO_NUM_THREADS": "1"}, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "one"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1.0", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2"}, 1),
+    ])
+    def test_workers_are_the_cpus_blas_leaves_idle(self, monkeypatch, two_cpus, env, workers):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert infer._decode_workers(10) == workers
+
+    def test_workers_capped_at_the_chunk_count(self, monkeypatch, two_cpus):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert infer._decode_workers(1) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert infer._decode_workers(3) == 3
 
 
 COLUMN_KINDS = ("numeric", "constant", "categorical", "missing")
