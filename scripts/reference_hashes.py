@@ -26,12 +26,16 @@ through the patch embedding; and on the float32 desk checkpoint with a
 LARGE_CONTEXT_ROWS-row context, whose attention scores outgrow the L2 cache.
 Then CLI `predict` on the criterion-12 checkpoint of a hand-written
 classification and regression table (`write_edge_tables`) whose cells
-exercise the CSV ingest rules. Last, CLI `predict` on the float32 desk
+exercise the CSV ingest rules. Then CLI `predict` on the float32 desk
 checkpoint of MULTI_CHUNK_TEST_ROWS test rows, two full `infer.QUERY_CHUNK`
 decode chunks and a partial one, the only lines that decode more than one
-chunk. Only long-standing names are used
-(`cli.main`, `export_csv`, `pretrain`, `generate_dataset`, `infer.BATCH_CAP`),
-so one command covers both trees of a refactor.
+chunk. Last, `infer.predict` called directly on the float32 desk checkpoint
+with a generated API_CONTEXT_ROWS-row context (`Dataset.take`) and
+API_TEST_ROWS bare test rows, neither split with a missing mask, the only
+lines that do not pass through CSV ingest. Only long-standing names are used
+(`cli.main`, `export_csv`, `pretrain`, `generate_dataset`, `infer.BATCH_CAP`,
+`infer.predict`, `Model.load`, `Dataset.take`), so one command covers both
+trees of a refactor.
 """
 
 import argparse
@@ -58,6 +62,8 @@ PREDICT_TRAIN_ROWS = 60
 LARGE_CONTEXT_ROWS = 1000
 PREDICT_TEST_ROWS = 20
 MULTI_CHUNK_TEST_ROWS = 600
+API_CONTEXT_ROWS = 600
+API_TEST_ROWS = 100
 SMALL_BATCH_CAP = 50
 SUITE_ROWS = 40
 MISSING_SHARE = 0.1
@@ -76,12 +82,8 @@ def quiet_cli(argv: list) -> None:
         raise RuntimeError(f"priorfit {argv[0]} exited with code {rc}")
 
 
-def export_table(path: Path, classification: bool, d: int, n: int,
-                 seed: int) -> None:
-    """Write a fixed-seed generated table with categorical columns and about
-    MISSING_SHARE blank feature cells."""
-    import numpy as np
-    from priorfit.data_io import export_csv
+def generated_table(classification: bool, d: int, n: int, seed: int):
+    """A fixed-seed generated Dataset of n rows with categorical columns."""
     from priorfit.prior import (GeneratorHyperSpace, generate_dataset,
                                 sample_generator)
     width = max(8, d)
@@ -89,7 +91,16 @@ def export_table(path: Path, classification: bool, d: int, n: int,
         feature_count=(d, d), hidden_width=(width, width), layer_count=(3, 3),
         categorical_fraction=(0.3, 0.3),
         classification_prob=1.0 if classification else 0.0)
-    ds = generate_dataset(sample_generator(space, seed), n, seed)
+    return generate_dataset(sample_generator(space, seed), n, seed)
+
+
+def export_table(path: Path, classification: bool, d: int, n: int,
+                 seed: int) -> None:
+    """Write a fixed-seed generated table with categorical columns and about
+    MISSING_SHARE blank feature cells."""
+    import numpy as np
+    from priorfit.data_io import export_csv
+    ds = generated_table(classification, d, n, seed)
     ds.missing_mask = np.random.default_rng(seed).random((n, d)) < MISSING_SHARE
     export_csv(ds, path)
 
@@ -173,6 +184,22 @@ def prediction_hashes(work: Path, checkpoint: Path) -> None:
     print(f"{'evaluate_ndjson':<34} {sha256(work / 'evaluate.ndjson')}")
 
 
+def api_prediction_hash(checkpoint: Path, classification: bool) -> str:
+    """sha256 of `infer.predict` output bytes (probs then classes, or mu then
+    sigma) on a generated table with no missing mask in either split."""
+    import numpy as np
+    from priorfit.infer import predict
+    from priorfit.model import Model
+    model, _, _ = Model.load(checkpoint)
+    ds = generated_table(classification, 3, API_CONTEXT_ROWS + API_TEST_ROWS, seed=3)
+    train = ds.take(np.arange(API_CONTEXT_ROWS))
+    pred = predict(model, train, ds.X.data[API_CONTEXT_ROWS:], ensemble=3, seed=2)
+    digest = hashlib.sha256()
+    for a in ((pred.probs, pred.classes) if classification else (pred.mu, pred.sigma)):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
 def main(src: Path) -> int:
     sys.path.insert(0, str(src.resolve()))
     from priorfit.agents import AgentConfig
@@ -252,6 +279,10 @@ def main(src: Path) -> int:
             task = "class" if classification else "regr"
             label = f"predict_desk_{task}_d3_t{MULTI_CHUNK_TEST_ROWS}"
             print(f"{label:<34} {sha256(work / 'predictions.csv')}")
+
+        for classification in (True, False):
+            label = f"predict_api_{'class' if classification else 'regr'}_d3"
+            print(f"{label:<34} {api_prediction_hash(work / 'desk.npz', classification)}")
     return 0
 
 

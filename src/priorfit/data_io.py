@@ -229,12 +229,10 @@ def export_csv(ds: Dataset, path, target_name: str = "target") -> None:
     x0..x{d-1} then the target. Missing cells are written as empty tokens."""
     classification = ds.task == CLASSIFICATION
     y = ds.y_labels if classification else ds.y_values.data
-    missing = (ds.missing_mask if ds.missing_mask is not None
-               else np.zeros((ds.n, ds.d), dtype=bool))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j}" for j in range(ds.d)] + [target_name])
-        for x_row, m_row, t in zip(ds.X.data, missing, y):
+        for x_row, m_row, t in zip(ds.X.data, ds.missing_mask, y):
             row = ["" if m else repr(v) for v, m in zip(x_row.tolist(), m_row.tolist())]
             row.append(str(int(t)) if classification else repr(float(t)))
             writer.writerow(row)

@@ -2,8 +2,10 @@
 
 A prediction is one forward pass per training batch and ensemble member,
 with no parameter update (enforced with a checksum around `predict`, the one
-entry point). Test rows are normalized with statistics from the training
-rows only, so nothing leaks backward. `predict` composes, in this order:
+entry point). Both splits are normalized with statistics of the observed
+training cells only (`normalize_train_test`), so nothing leaks backward; a
+missing cell is True in its split's bool mask (`prior.checked_mask`).
+`predict` composes, in this order:
 
 1. features above FEATURE_BUDGET are uniformly subsampled, the same columns
    on both splits (`subsample_features` draws the column indices);
@@ -69,7 +71,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .model import EncodedContext, Model, Prediction, SIGMA_FLOOR
-from .prior import CLASSIFICATION, REGRESSION, Dataset
+from .prior import CLASSIFICATION, REGRESSION, Dataset, checked_mask
 from .seeding import NS_EVAL, derive_rng
 
 log = logging.getLogger(__name__)
@@ -106,38 +108,21 @@ def subsample_features(d: int, rng: Optional[np.random.Generator] = None
     return np.sort(rng.choice(d, size=FEATURE_BUDGET, replace=False))
 
 
-def _column_stats(x: np.ndarray, missing: Optional[np.ndarray]):
-    if missing is None:
-        mu = x.mean(axis=0)
-        sd = x.std(axis=0)
-        return mu, sd
-    masked = np.where(missing, np.nan, x)
+def normalize_train_test(train_x: np.ndarray, test_x: np.ndarray,
+                         train_missing: np.ndarray, test_missing: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Z-score and clip both splits with the observed training cells' mean and
+    spread; a column with no spread and every missing cell become 0."""
+    masked = np.where(train_missing, np.nan, train_x)
     with warnings.catch_warnings():  # a column with no observed cell gives 0, 0
         warnings.simplefilter("ignore", RuntimeWarning)
-        mu = np.nanmean(masked, axis=0)
-        sd = np.nanstd(masked, axis=0)
-    return np.nan_to_num(mu), np.nan_to_num(sd)
-
-
-def _apply_stats(x: np.ndarray, missing: Optional[np.ndarray],
-                 mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+        mu = np.nan_to_num(np.nanmean(masked, axis=0))
+        sd = np.nan_to_num(np.nanstd(masked, axis=0))
     safe = np.where(sd > 0, sd, 1.0)
-    z = np.clip((x - mu) / safe, -4.0, 4.0)
-    z = np.where(sd > 0, z, 0.0)
-    if missing is not None:
-        z = np.where(missing, 0.0, z)
-    return np.nan_to_num(z)
-
-
-def normalize_train_test(train_x: np.ndarray, test_x: np.ndarray,
-                         train_missing: Optional[np.ndarray] = None,
-                         test_missing: Optional[np.ndarray] = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Z-score and clip both splits using training-row statistics only;
-    missing cells are imputed to zero after normalization."""
-    mu, sd = _column_stats(train_x, train_missing)
-    return (_apply_stats(train_x, train_missing, mu, sd),
-            _apply_stats(test_x, test_missing, mu, sd))
+    def scaled(x, missing):
+        z = np.where(sd > 0, np.clip((x - mu) / safe, -4.0, 4.0), 0.0)
+        return np.nan_to_num(np.where(missing, 0.0, z))
+    return scaled(train_x, train_missing), scaled(test_x, test_missing)
 
 
 _encoded: tuple = (None, None)  # (key, EncodedContext) of the last encode
@@ -179,7 +164,7 @@ def _decode_workers(n_chunks: int) -> int:
 
 
 def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
-                        test_missing: Optional[np.ndarray], checksum: int
+                        test_missing: np.ndarray, checksum: int
                         ) -> Prediction:
     """Encode the training context (or take it from the cache; checksum is
     the caller's model checksum), then decode the test rows in chunks at the
@@ -286,7 +271,8 @@ def predict(model: Model, train: Dataset, test_x: np.ndarray,
     splits), the training rows are split into batches of at most BATCH_CAP,
     and each of `ensemble` members predicts every batch under its own column
     order (the first member keeps the identity). Each member's batches are
-    combined, then the members. All draws derive from `seed`."""
+    combined, then the members. All draws derive from `seed`. A non-finite
+    cell that its split's mask does not mark missing is refused."""
     if ensemble < 1:
         raise ValueError("ensemble needs at least one member")
     if T._ACTIVE_TAPE is not None:  # decode threads would record into it in no fixed order
@@ -294,9 +280,14 @@ def predict(model: Model, train: Dataset, test_x: np.ndarray,
     if test_x.shape[1] != train.d:
         raise ValueError(f"test rows have {test_x.shape[1]} features, "
                          f"training rows have {train.d}")
+    test_missing = checked_mask(test_missing, test_x.shape, "test_missing")
+    for split, x, missing in (("training", train.X.data, train.missing_mask),
+                              ("test", test_x, test_missing)):
+        if bad := int((~np.isfinite(x) & ~missing).sum()):
+            raise ValueError(f"{split} rows have {bad} non-finite cells not marked missing")
 
     def columns(a, cols):  # a test array under the same column selection
-        return a if a is None or cols is None else a[:, cols]
+        return a if cols is None else a[:, cols]
 
     if train.d > FEATURE_BUDGET:
         idx = subsample_features(train.d, derive_rng(seed, NS_EVAL, 3))

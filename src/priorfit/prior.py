@@ -144,6 +144,15 @@ class GeneratorInstance:
             self.response_spec.temperature = tau
 
 
+def checked_mask(mask, shape: tuple, name: str) -> np.ndarray:
+    """A missing-cell mask: bool, shaped like its feature block, all False
+    when None. Any other dtype or shape is refused."""
+    mask = np.zeros(shape, dtype=bool) if mask is None else np.asarray(mask)
+    if mask.dtype != np.bool_ or mask.shape != shape:
+        raise ValueError(f"{name} must be bool of shape {shape}, got {mask.dtype} {mask.shape}")
+    return mask
+
+
 @dataclass
 class Dataset:
     """Predictor matrix plus response, the unit generators emit and the
@@ -152,6 +161,7 @@ class Dataset:
     y_values is what the label embedding sees (class index as float, possibly
     carrying the soft-discretization offset; z-scored target for regression).
     y_labels holds integer class labels for classification, None otherwise.
+    missing_mask is True where a cell of X is missing (see checked_mask).
     """
 
     X: Tensor
@@ -160,7 +170,10 @@ class Dataset:
     cat_mask: np.ndarray
     task: str
     n_classes: Optional[int] = None
-    missing_mask: Optional[np.ndarray] = None
+    missing_mask: np.ndarray = None  # None builds the all-False default
+
+    def __post_init__(self):
+        self.missing_mask = checked_mask(self.missing_mask, self.X.shape, "missing_mask")
 
     @property
     def n(self) -> int:
@@ -177,12 +190,10 @@ class Dataset:
         x, y = self.X.data, self.y_values.data
         labels, cat, missing = self.y_labels, self.cat_mask, self.missing_mask
         if rows is not None:
-            x, y = x[rows], y[rows]
+            x, y, missing = x[rows], y[rows], missing[rows]
             labels = None if labels is None else labels[rows]
-            missing = None if missing is None else missing[rows]
         if cols is not None:
-            x, cat = x[:, cols], cat[cols]
-            missing = None if missing is None else missing[:, cols]
+            x, cat, missing = x[:, cols], cat[cols], missing[:, cols]
         return replace(self, X=Tensor(x), y_values=Tensor(y), y_labels=labels,
                        cat_mask=cat, missing_mask=missing)
 

@@ -45,13 +45,14 @@ class TestNormalizeTrainTest:
     def test_train_statistics_only(self):
         train = np.array([[0.0], [10.0]])
         test = np.array([[5.0], [20.0]])
-        tr, te = normalize_train_test(train, test)
+        tr, te = normalize_train_test(train, test, np.zeros(train.shape, bool),
+                                      np.zeros(test.shape, bool))
         np.testing.assert_allclose(tr, [[-1.0], [1.0]])
         np.testing.assert_allclose(te, [[0.0], [3.0]])
 
     def test_clip_applies_to_test(self):
-        tr, te = normalize_train_test(np.array([[0.0], [1.0]]),
-                                      np.array([[100.0]]))
+        tr, te = normalize_train_test(np.array([[0.0], [1.0]]), np.array([[100.0]]),
+                                      np.zeros((2, 1), bool), np.zeros((1, 1), bool))
         assert te[0, 0] == 4.0
 
     def test_missing_imputed_to_zero_after_stats(self):
@@ -64,7 +65,8 @@ class TestNormalizeTrainTest:
         np.testing.assert_allclose(tr[0, 0], -1.0)
 
     def test_zero_variance_column_zeroed(self):
-        tr, te = normalize_train_test(np.full((4, 1), 2.2), np.full((2, 1), 9.9))
+        tr, te = normalize_train_test(np.full((4, 1), 2.2), np.full((2, 1), 9.9),
+                                      np.zeros((4, 1), bool), np.zeros((2, 1), bool))
         np.testing.assert_array_equal(tr, 0.0)
         np.testing.assert_array_equal(te, 0.0)
 
@@ -390,7 +392,8 @@ class TestComposedPath:
 def joint_forward(model, train, test_x):
     """The single masked pass over the concatenated train+test tokens, with
     predict's normalization and label coding: the reference for predict."""
-    train_xn, test_xn = normalize_train_test(train.X.data, test_x)
+    train_xn, test_xn = normalize_train_test(train.X.data, test_x, train.missing_mask,
+                                             np.zeros(test_x.shape, bool))
     n_train, n_test = train_xn.shape[0], test_xn.shape[0]
     x = Tensor(np.concatenate([train_xn, test_xn])[None])
     if train.task == CLASSIFICATION:
@@ -604,6 +607,61 @@ class TestPredictAtModelDtype:
 
 def decode_workers(monkeypatch, workers):
     monkeypatch.setattr(infer, "_decode_workers", lambda n_chunks: workers)
+
+
+class TestMissingMasks:
+    """A missing cell is a True in a bool mask shaped like its split; None
+    means all False, and predict refuses what the masks cannot explain."""
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_absent_masks_equal_all_false_masks_bytewise(self, task, dtype):
+        model = MODEL if dtype is np.float64 else float32_copy(MODEL)
+        rng = np.random.default_rng(33)
+        train = class_train(rng, n=30) if task == CLASSIFICATION else regr_train(rng, n=30)
+        test_x = rng.standard_normal((9, 3))
+        no_mask = predicted(model, train, test_x, ensemble=3, seed=4)
+        false_test_mask = predicted(model, train, test_x, ensemble=3, seed=4,
+                                    test_missing=np.zeros((9, 3), bool))
+        masked_train = dataclasses.replace(train, missing_mask=np.zeros((30, 3), bool))
+        false_train_mask = predicted(model, masked_train, test_x, ensemble=3, seed=4)
+        assert false_test_mask.tobytes() == no_mask.tobytes()
+        assert false_train_mask.tobytes() == no_mask.tobytes()
+
+    def test_row_shaped_test_mask_refused(self):
+        rng = np.random.default_rng(34)
+        test_x = rng.standard_normal((5, 3))
+        with pytest.raises(ValueError, match=r"test_missing.*\(5, 3\).*\(3,\)"):
+            predict(MODEL, class_train(rng), test_x, np.array([True, False, False]))
+
+    def test_non_bool_test_mask_refused(self):
+        rng = np.random.default_rng(35)
+        with pytest.raises(ValueError, match="int64"):
+            predict(MODEL, class_train(rng), np.zeros((5, 3)), np.zeros((5, 3), np.int64))
+
+    @pytest.mark.parametrize("split", ["training", "test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_unmasked_non_finite_cell_refused_with_its_count(self, split, value):
+        rng = np.random.default_rng(36)
+        train, test_x = class_train(rng), rng.standard_normal((5, 3))
+        x = train.X.data if split == "training" else test_x
+        x[1, 2] = x[3, 0] = value
+        with pytest.raises(ValueError, match=f"{split} rows have 2 non-finite cells"):
+            predict(MODEL, train, test_x)
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_masked_cell_value_is_ignored(self, task):
+        rng = np.random.default_rng(37)
+        train = class_train(rng) if task == CLASSIFICATION else regr_train(rng)
+        test_x = rng.standard_normal((5, 3))
+        train_missing, test_missing = train.X.data < -1.0, test_x < -1.0
+        outs = []
+        for fill in (0.0, np.nan, -np.inf):
+            x, tx = train.X.data.copy(), test_x.copy()
+            x[train_missing], tx[test_missing] = fill, fill
+            masked = dataclasses.replace(train, X=Tensor(x), missing_mask=train_missing)
+            outs.append(predicted(MODEL, masked, tx, test_missing=test_missing))
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
 class TestThreadedDecode:

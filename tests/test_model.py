@@ -3,6 +3,7 @@ import pytest
 
 from priorfit import tensor as T
 from priorfit.tensor import Tensor
+from priorfit import model as model_module
 from priorfit.model import Model, ModelConfig
 from priorfit.prior import Dataset, CLASSIFICATION
 from priorfit.train import _forward_episode_losses
@@ -253,6 +254,49 @@ class TestMixtureHead:
         out = self.predict(m, ctx, 6, labels, 3, rng=np.random.default_rng(5))
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(out >= 0)
+
+    def test_closed_gates_fall_back_to_ungated_weights(self, monkeypatch, caplog):
+        m = Model(tiny_cfg(), seed=18)
+        rng = np.random.default_rng(18)
+        ctx = rng.standard_normal((1, 13, 16))
+        labels = np.array([[0, 1, 2, 0, 1, 2, 0]])
+        q, k = ctx[:, 7:], ctx[:, :7]
+
+        def scores(qn, kn):
+            p = {n: m.params[f"mixture/{n}"].data for n in (qn, kn)}
+            return (q @ p[qn]) @ np.swapaxes(k @ p[kn], -1, -2) / np.sqrt(16)
+
+        w = scores("weight_q", "weight_k")
+        probs = np.exp(w - w.max(-1, keepdims=True))
+        probs /= probs.sum(-1, keepdims=True)
+        gated = probs / (1 + np.exp(-scores("gate_q", "gate_k")))
+        open_out = self.predict(m, ctx, 7, labels, 3)
+        monkeypatch.setattr(model_module, "_GATE_MASS_FLOOR", np.inf)
+        ungated_out = self.predict(m, ctx, 7, labels, 3)
+        monkeypatch.setattr(model_module, "_GATE_MASS_FLOOR", np.median(gated.sum(-1)))
+        with caplog.at_level("WARNING", logger="priorfit.model"):
+            out = self.predict(m, ctx, 7, labels, 3)
+
+        starved = gated.sum(-1)[0] < np.median(gated.sum(-1))
+        assert starved.sum() == 3
+        assert "mixture head: 3 test rows with fully closed gates" in caplog.text
+        np.testing.assert_array_equal(out[0, starved], ungated_out[0, starved])
+        np.testing.assert_array_equal(out[0, ~starved], open_out[0, ~starved])
+        ungated = np.stack([probs[..., labels[0] == c].sum(-1) for c in range(3)], -1)
+        np.testing.assert_allclose(ungated_out, ungated / ungated.sum(-1, keepdims=True),
+                                   rtol=0, atol=1e-12)
+        assert not np.allclose(out[0, starved], open_out[0, starved])
+        np.testing.assert_allclose(out.sum(-1), 1.0, rtol=0, atol=1e-12)
+
+        leaf = Tensor(ctx, requires_grad=True)
+        weights = Tensor(rng.standard_normal(out.shape))
+        with T.Tape() as tape:
+            loss = T.sum_(T.mul(m.mixture_head(leaf[:, 7:], m.mixture_keys(leaf[:, :7]),
+                                               labels, 3), weights))
+            tape.backward(loss)
+        assert np.isfinite(leaf.grad).all()
+        assert all(np.isfinite(m.params[f"mixture/{n}"].grad).all()
+                   for n in ("weight_q", "weight_k", "gate_q", "gate_k"))
 
     def test_mixture_params_independent_of_class_budget(self):
         a = Model(tiny_cfg(max_classes=2), seed=17)

@@ -213,6 +213,28 @@ class TestDatasetTake:
         np.testing.assert_array_equal(out.X.data, ds.X.data[:, [2, 0, 3]])
 
 
+class TestDatasetMissingMask:
+    def make(self, **kw):
+        x = np.arange(12.0).reshape(4, 3)
+        return Dataset(X=T.Tensor(x), y_values=T.Tensor(np.arange(4.0)),
+                       y_labels=None, cat_mask=np.zeros(3, dtype=bool),
+                       task=REGRESSION, **kw)
+
+    def test_defaults_to_all_false_of_x_shape(self):
+        mask = self.make().missing_mask
+        assert mask.dtype == bool and mask.shape == (4, 3) and not mask.any()
+        taken = self.make().take([2, 0], [1])
+        assert taken.missing_mask.shape == (2, 1) and not taken.missing_mask.any()
+
+    def test_row_shaped_mask_refused_naming_both_shapes(self):
+        with pytest.raises(ValueError, match=r"missing_mask.*\(4, 3\).*\(3,\)"):
+            self.make(missing_mask=np.array([True, False, False]))
+
+    def test_non_bool_mask_refused(self):
+        with pytest.raises(ValueError, match="float64"):
+            self.make(missing_mask=np.zeros((4, 3)))
+
+
 class TestSampleGenerator:
     def space(self, **kw):
         return GeneratorHyperSpace(**kw)
