@@ -11,22 +11,23 @@ two outputs:
 
 The training runs: the acceptance suite's criterion-12 CLI config;
 configs/desk.yaml of the same checkout at 12 steps (checkpoint and NDJSON
-training log); and 12 steps of 8 mixed-task episodes in dense and in patch
-embedding, each with agents at fraction 0.25 and without agents.
+training log); and 12 steps of 8 mixed-task episodes with agents at fraction
+0.25 and without agents. Each checkpoint's line is followed by a `_params`
+line, the `Model.checksum()` of the parameters it loads to: a change to the
+checkpoint header alone moves the file's sha256 but not that line.
 
 The prediction runs use the criterion-12 checkpoint: CLI `predict` of a
 classification and a regression table with 3 and with 105 features (blank
 cells and categorical columns in both files), at `--ensemble` 1 and 3, with
-`infer.BATCH_CAP` at its default and at 50; the `evaluate` NDJSON of a
-4-file suite; and the `analyze-prior` outputs. Last come CLI `predict` of a
-classification and a regression table with 3 features on the float32 desk
-checkpoint, the one path that predicts in float32, and with 3 and with 105
-features on the patch-mode checkpoint with agents, the one path that predicts
-through the patch embedding; and on the float32 desk checkpoint with a
-LARGE_CONTEXT_ROWS-row context, whose attention scores outgrow the L2 cache.
-Then CLI `predict` on the criterion-12 checkpoint of a hand-written
-classification and regression table (`write_edge_tables`) whose cells
-exercise the CSV ingest rules. Then CLI `predict` on the float32 desk
+`infer.BATCH_CAP` at its default and at 50; the 105-feature lines are the
+ones that subsample down to `infer.FEATURE_BUDGET` columns. Then the
+`evaluate` NDJSON of a 4-file suite and the `analyze-prior` outputs. Next
+come CLI `predict` of a classification and a regression table with 3
+features on the float32 desk checkpoint, the one path that predicts in
+float32, and with a LARGE_CONTEXT_ROWS-row context, whose attention scores
+outgrow the L2 cache. Then CLI `predict` on the criterion-12 checkpoint of a
+hand-written classification and regression table (`write_edge_tables`) whose
+cells exercise the CSV ingest rules. Then CLI `predict` on the float32 desk
 checkpoint of MULTI_CHUNK_TEST_ROWS test rows, two full `infer.QUERY_CHUNK`
 decode chunks and a partial one, the only lines that decode more than one
 chunk. Last, `infer.predict` called directly on the float32 desk checkpoint
@@ -34,8 +35,8 @@ with a generated API_CONTEXT_ROWS-row context (`Dataset.take`) and
 API_TEST_ROWS bare test rows, neither split with a missing mask, the only
 lines that do not pass through CSV ingest. Only long-standing names are used
 (`cli.main`, `export_csv`, `pretrain`, `generate_dataset`, `infer.BATCH_CAP`,
-`infer.predict`, `Model.load`, `Dataset.take`), so one command covers both
-trees of a refactor.
+`infer.predict`, `Model.load`, `Model.checksum`, `Dataset.take`), so one
+command covers both trees of a refactor.
 """
 
 import argparse
@@ -200,6 +201,13 @@ def api_prediction_hash(checkpoint: Path, classification: bool) -> str:
     return digest.hexdigest()
 
 
+def params_line(name: str, checkpoint: Path) -> str:
+    """The `<name>_params` line: `Model.checksum()` of the parameters the
+    checkpoint loads to."""
+    from priorfit.model import Model
+    return f"{name + '_params':<34} {Model.load(checkpoint)[0].checksum()}"
+
+
 def main(src: Path) -> int:
     sys.path.insert(0, str(src.resolve()))
     from priorfit.agents import AgentConfig
@@ -220,6 +228,7 @@ def main(src: Path) -> int:
         if rc != 0:
             return rc
         print(f"criterion12_cli  {sha256(work / 'cli' / 'checkpoint.npz')}")
+        print(params_line("criterion12_cli", work / "cli" / "checkpoint.npz"))
 
         desk = load_run_config(src.resolve().parent / "configs" / "desk.yaml")
         train = dataclasses.replace(
@@ -227,6 +236,7 @@ def main(src: Path) -> int:
         pretrain(train, desk.model, desk.space, desk.agent,
                  checkpoint_path=work / "desk.npz", log_path=work / "desk.ndjson")
         print(f"desk_checkpoint  {sha256(work / 'desk.npz')}")
+        print(params_line("desk_checkpoint", work / "desk.npz"))
         print(f"desk_log         {sha256(work / 'desk.ndjson')}")
 
         space = GeneratorHyperSpace(feature_count=(2, 6), class_count=(2, 5),
@@ -234,14 +244,14 @@ def main(src: Path) -> int:
         train = TrainConfig(model_lr=1e-3, datasets_per_step=MIXED_BATCH,
                             total_datasets=MIXED_STEPS * MIXED_BATCH,
                             rows=(16, 24), seed=7, eval_every=MIXED_STEPS)
-        for mode, width in (("dense", 3), ("patch", 2)):
-            model = ModelConfig(d_model=16, n_blocks=1, n_heads=2, d_ff=24,
-                                feature_width=width, embed_mode=mode)
-            for arm, agent in (("agents", AgentConfig(fraction=0.25)),
-                               ("agent_free", None)):
-                path = work / f"{mode}-{arm}.npz"
-                pretrain(train, model, space, agent, checkpoint_path=path)
-                print(f"{mode}_{arm:<10} {sha256(path)}")
+        model = ModelConfig(d_model=16, n_blocks=1, n_heads=2, d_ff=24,
+                            feature_width=3)
+        for arm, agent in (("agents", AgentConfig(fraction=0.25)),
+                           ("agent_free", None)):
+            path = work / f"dense-{arm}.npz"
+            pretrain(train, model, space, agent, checkpoint_path=path)
+            print(f"dense_{arm:<10} {sha256(path)}")
+            print(params_line(f"dense_{arm}", path))
 
         checkpoint = work / "cli" / "checkpoint.npz"
         prediction_hashes(work, checkpoint)
@@ -251,14 +261,11 @@ def main(src: Path) -> int:
         for name in ("diversity.json", "density_grids.npz"):
             print(f"{'analyze_prior_' + name:<34} {sha256(work / 'prior' / name)}")
 
-        for name, file, d in (("desk", "desk.npz", 3), ("patch", "patch-agents.npz", 3),
-                              ("patch", "patch-agents.npz", 105)):
-            for classification in (True, False):
-                split_table(work, classification, d)
-                quiet_cli(predict_argv(work, work / file))
-                task = "class" if classification else "regr"
-                label = f"predict_{name}_{task}_d{d}"
-                print(f"{label:<34} {sha256(work / 'predictions.csv')}")
+        for classification in (True, False):
+            split_table(work, classification, 3)
+            quiet_cli(predict_argv(work, work / "desk.npz"))
+            label = f"predict_desk_{'class' if classification else 'regr'}_d3"
+            print(f"{label:<34} {sha256(work / 'predictions.csv')}")
 
         for classification in (True, False):
             split_table(work, classification, 3, LARGE_CONTEXT_ROWS)

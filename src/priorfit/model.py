@@ -57,7 +57,6 @@ class ModelConfig:
     n_heads: int = 4
     d_ff: int = 1024
     feature_width: int = 100
-    embed_mode: str = "dense"      # dense | patch
     head: str = "mixture"          # mixture | dense (classification head choice)
     gate_temperature: float = 0.1
     max_classes: int = 10          # dense-head cap only
@@ -69,8 +68,6 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if self.feature_width < 1:
             raise ValueError("feature_width must be at least 1")
-        if self.embed_mode not in ("dense", "patch"):
-            raise ValueError(f"unknown embed_mode '{self.embed_mode}'")
         if self.head not in ("mixture", "dense"):
             raise ValueError(f"unknown head '{self.head}'")
         if self.gate_temperature <= 0:
@@ -137,8 +134,6 @@ class Model:
         self._add("embed/b", np.zeros(dm))
         self._add("label/w", rng.standard_normal((1, dm)))
         self._add("label/b", np.zeros(dm))
-        if cfg.embed_mode == "patch":
-            self._init_block(rng, "patch_block")
         for i in range(cfg.n_blocks):
             self._init_block(rng, f"blocks/{i}")
         self._add("final_ln/gain", np.ones(dm))
@@ -200,36 +195,13 @@ class Model:
                      p[f"{prefix}/ff/w2"])
         return T.add(x, T.add(h, p[f"{prefix}/ff/b2"]))
 
-    def input_width(self, d: int) -> int:
-        """Width d features are fitted to: feature_width in dense mode, the
-        whole patches that cover d in patch mode."""
-        fw = self.cfg.feature_width
-        return fw if self.cfg.embed_mode == "dense" else -(-d // fw) * fw
-
     def embed_features(self, x: Tensor) -> Tensor:
-        """Map raw feature rows (B, n, d) onto (B, n, d_model)."""
-        d = x.shape[-1]
-        if d == 0:
+        """Map raw feature rows (B, n, d), fitted to feature_width, onto
+        (B, n, d_model) with one linear map."""
+        if x.shape[-1] == 0:
             raise ValueError("cannot embed rows with zero features")
-        x = fit_width(x, self.input_width(d))
-        if self.cfg.embed_mode == "dense":
-            return T.add(T.matmul(x, self.params["embed/w"]), self.params["embed/b"])
-        return self._patch_embed(x)
-
-    def _patch_embed(self, x: Tensor) -> Tensor:
-        """Split features (a whole number of patches wide) into patches, embed
-        each with the shared map, run one attention block over the patches,
-        and average-pool.
-
-        Pooling is over unordered patch embeddings; no positional encoding."""
-        cfg = self.cfg
-        B, n, d = x.shape
-        patches = d // cfg.feature_width
-        x = T.reshape(x, (B * n, patches, cfg.feature_width))
-        e = T.add(T.matmul(x, self.params["embed/w"]), self.params["embed/b"])
-        e = self._block(e, patches, "patch_block")
-        pooled = T.mean(e, axis=1)
-        return T.reshape(pooled, (B, n, cfg.d_model))
+        x = fit_width(x, self.cfg.feature_width)
+        return T.add(T.matmul(x, self.params["embed/w"]), self.params["embed/b"])
 
     def embed_episode(self, x: Tensor, y_values: Tensor, l: int) -> Tensor:
         """Build the token sequence: training rows carry their label embedding,
@@ -351,7 +323,6 @@ class Model:
         header = {
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.cfg),
-            "head": self.cfg.head,
             "seed": self.seed,
             "param_order": list(self.params),
             "extra": extra or {},
@@ -367,11 +338,19 @@ class Model:
 
     @classmethod
     def load(cls, path) -> tuple["Model", dict, dict[str, np.ndarray]]:
+        """Read a checkpoint. Its config is built by the rule YAML configs
+        use, so an unknown key is refused by name; the embed_mode key of
+        older headers is dropped when it names the dense embedding."""
+        from .config import _build
         with np.load(path) as z:
             header = json.loads(bytes(z["__header__"]).decode())
             if header["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
-            model = cls(ModelConfig(**header["config"]), seed=header["seed"])
+            raw = dict(header["config"])
+            if raw.pop("embed_mode", "dense") != "dense":
+                raise ValueError("checkpoint uses patch embedding, which was removed; "
+                                 "only the dense embedding can be loaded")
+            model = cls(_build(ModelConfig, raw), seed=header["seed"])
             order = header["param_order"]
             missing = sorted(set(model.params) - set(order))
             unknown = sorted(set(order) - set(model.params))

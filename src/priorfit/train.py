@@ -379,6 +379,11 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
         agents = make_agents(cfg.datasets_per_step, space, cfg.seed, agent_cfg)
         if resume_from is not None:
             model, extra, aux = Model.load(resume_from)
+            stored = asdict(model.cfg)
+            differ = [k for k, v in asdict(model_cfg).items() if stored[k] != v]
+            if differ:
+                raise ValueError("checkpoint was written with a different model config: "
+                                 + ", ".join(differ))
             adam, start = _restore_training_state(extra, aux, cfg, agents)
         else:
             model = Model(model_cfg, seed=derive_seed(cfg.seed, NS_MODEL_INIT))

@@ -432,7 +432,7 @@ def encodes(monkeypatch):
 
 
 CHUNK = 4
-VARIANTS = [{}, {"embed_mode": "patch"}, {"head": "dense", "n_heads": 4}]
+VARIANTS = [{}, {"head": "dense", "n_heads": 4}]
 
 
 def variant_model(variant):

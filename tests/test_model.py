@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -89,48 +91,6 @@ class TestEmbedding:
         a = m.embed_episode(Tensor(x), Tensor(y1), l=4)
         b = m.embed_episode(Tensor(x), Tensor(y2), l=4)
         np.testing.assert_array_equal(a.data, b.data)
-
-
-class TestPatchEmbedding:
-    def test_single_patch_equals_dense_through_patch_block(self):
-        m = Model(tiny_cfg(embed_mode="patch"), seed=3)
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 5, 4))  # d == feature_width
-        out = m._patch_embed(Tensor(x))
-        e = T.add(T.matmul(Tensor(x.reshape(5, 1, 4)), m.params["embed/w"]),
-                  m.params["embed/b"])
-        ref = T.mean(m._block(e, 1, "patch_block"), axis=1)
-        np.testing.assert_allclose(out.data[0], ref.data, atol=1e-12)
-
-    def test_duplicated_patch_collapses_to_single(self):
-        # attention over two identical tokens equals attention over one
-        m = Model(tiny_cfg(embed_mode="patch"), seed=4)
-        rng = np.random.default_rng(4)
-        half = rng.standard_normal((1, 6, 4))
-        single = m.embed_features(Tensor(half))
-        doubled = m.embed_features(Tensor(np.concatenate([half, half], axis=-1)))
-        np.testing.assert_allclose(doubled.data, single.data, atol=1e-9)
-
-    def test_zero_padded_second_patch_differs_but_finite(self):
-        m = Model(tiny_cfg(embed_mode="patch"), seed=4)
-        rng = np.random.default_rng(5)
-        half = rng.standard_normal((1, 6, 4))
-        single = m.embed_features(Tensor(half))
-        zero_pad = m.embed_features(Tensor(np.concatenate([half, np.zeros_like(half)], axis=-1)))
-        assert np.isfinite(zero_pad.data).all()
-        assert not np.allclose(zero_pad.data, single.data)
-
-    def test_patch_order_invariant_within_patch_not(self):
-        m = Model(tiny_cfg(embed_mode="patch"), seed=6)
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((1, 3, 8))  # two patches
-        base = m.embed_features(Tensor(x))
-        swapped = np.concatenate([x[:, :, 4:], x[:, :, :4]], axis=-1)
-        np.testing.assert_allclose(m.embed_features(Tensor(swapped)).data,
-                                   base.data, atol=1e-9)
-        shuffled = x.copy()
-        shuffled[:, :, [0, 1, 2, 3]] = shuffled[:, :, [2, 0, 3, 1]]
-        assert not np.allclose(m.embed_features(Tensor(shuffled)).data, base.data)
 
 
 class TestMaskedTransformer:
@@ -348,7 +308,7 @@ class TestGaussianHead:
 
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
-        m = Model(tiny_cfg(embed_mode="patch"), seed=23)
+        m = Model(tiny_cfg(head="dense", max_classes=6), seed=23)
         path = tmp_path / "model.ckpt"
         m.save(path, extra={"step": 17}, arrays={"adam/m": np.arange(4.0)})
         loaded, extra, aux = Model.load(path)
@@ -359,6 +319,37 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.params[name].data, m.params[name].data)
         np.testing.assert_array_equal(aux["adam/m"], np.arange(4.0))
         assert loaded.checksum() == m.checksum()
+
+    @staticmethod
+    def add_config_keys(path, **keys):
+        """Rewrite the checkpoint at path with keys added to its header's
+        config, as an older writer would have stored them."""
+        with np.load(path) as z:
+            payload = {k: z[k] for k in z.files}
+        header = json.loads(bytes(payload["__header__"]).decode())
+        header["config"].update(keys)
+        payload["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+
+    def test_legacy_dense_embed_mode_loads(self, tmp_path):
+        m = Model(tiny_cfg(), seed=27)
+        m.save(tmp_path / "model.ckpt")
+        self.add_config_keys(tmp_path / "model.ckpt", embed_mode="dense")
+        loaded = Model.load(tmp_path / "model.ckpt")[0]
+        assert loaded.cfg == m.cfg
+        assert loaded.checksum() == m.checksum()
+
+    @pytest.mark.parametrize("keys,match", [
+        ({"embed_mode": "patch"}, "patch embedding, which was removed"),
+        # ModelConfig(**config) used to surface an unknown key as a TypeError
+        ({"patch_size": 4}, "unknown keys.*patch_size"),
+    ])
+    def test_config_it_cannot_build_refused(self, tmp_path, keys, match):
+        Model(tiny_cfg(), seed=27).save(tmp_path / "model.ckpt")
+        self.add_config_keys(tmp_path / "model.ckpt", **keys)
+        with pytest.raises(ValueError, match=match):
+            Model.load(tmp_path / "model.ckpt")
 
     def test_dtype_follows_parameters_and_refuses_a_mix(self, tmp_path):
         m = Model(tiny_cfg(), seed=26)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import weakref
@@ -124,23 +125,6 @@ class TestBatchedEpisodeLosses:
         model = Model(MODEL_CFG, seed=5)
         widths = (2, 5, MODEL_CFG.feature_width, 1, 6)
         assert min(widths) < MODEL_CFG.feature_width < max(widths)
-        eps = [random_episode(task, d, seed=i) for i, d in enumerate(widths)]
-        batch = _forward_episode_losses(model, eps, 8, None).item()
-        singles = [_forward_episode_losses(model, [ep], 8, None).item() for ep in eps]
-        assert batch == pytest.approx(sum(singles), rel=1e-12)
-
-    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
-    @pytest.mark.parametrize("widths", [
-        (3, 4),
-        pytest.param((2, 5), marks=pytest.mark.xfail(
-            strict=True, reason="patch mode mean-pools the zero patches padded "
-            "up to the widest episode (ROADMAP open item 6)")),
-    ])
-    def test_patch_mode_widths_sum_single_episode_losses(self, task, widths):
-        # feature_width 2: widths 3 and 4 both cover two patches, widths 2
-        # and 5 cover one and three
-        model = Model(ModelConfig(d_model=16, n_blocks=1, n_heads=2, d_ff=24,
-                                  feature_width=2, embed_mode="patch"), seed=5)
         eps = [random_episode(task, d, seed=i) for i, d in enumerate(widths)]
         batch = _forward_episode_losses(model, eps, 8, None).item()
         singles = [_forward_episode_losses(model, [ep], 8, None).item() for ep in eps]
@@ -371,6 +355,15 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(small_train_cfg(total_datasets=8, seed=99), MODEL_CFG, SPACE,
                      resume_from=tmp_path / "a.ckpt")
+
+    def test_resume_rejects_model_config_drift(self, tmp_path):
+        # the checkpoint's model used to keep training under a different config
+        cfg = small_train_cfg(total_datasets=8)
+        pretrain(cfg, MODEL_CFG, SPACE, checkpoint_path=tmp_path / "a.ckpt",
+                 stop_after_steps=1)
+        other = dataclasses.replace(MODEL_CFG, d_model=32, n_blocks=3, head="dense")
+        with pytest.raises(ValueError, match="d_model, n_blocks, head"):
+            pretrain(cfg, other, SPACE, resume_from=tmp_path / "a.ckpt")
 
     def test_resume_rejects_agent_count_drift(self, tmp_path):
         # an agent checkpoint resumed without agents would silently drop them
