@@ -432,7 +432,8 @@ def encodes(monkeypatch):
 
 
 CHUNK = 4
-VARIANTS = [{}, {"head": "dense", "n_heads": 4}]
+# The base width truncates the three test features; feature_width=5 pads them.
+VARIANTS = [{}, {"feature_width": 5}, {"head": "dense", "n_heads": 4}]
 
 
 def variant_model(variant):
