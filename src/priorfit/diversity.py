@@ -74,25 +74,6 @@ def pearson_signal(ds: Dataset) -> float:
     return float(np.mean(vals))
 
 
-def prior_diversity_report(collection_a: list[Dataset],
-                           collection_b: list[Dataset],
-                           bins: int = GRID_BINS) -> dict:
-    """KL estimates between the pooled point clouds, in both directions, plus
-    per-collection Pearson stats and the two density grids."""
-    grid_a = histogram_density(pooled_points(collection_a), bins=bins)
-    grid_b = histogram_density(pooled_points(collection_b), bins=bins)
-    pear_a = np.array([pearson_signal(ds) for ds in collection_a])
-    pear_b = np.array([pearson_signal(ds) for ds in collection_b])
-    return {
-        "kl_ab": kl_divergence(grid_a, grid_b),
-        "kl_ba": kl_divergence(grid_b, grid_a),
-        "pearson_a": {"mean": float(pear_a.mean()), "std": float(pear_a.std())},
-        "pearson_b": {"mean": float(pear_b.mean()), "std": float(pear_b.std())},
-        "grid_a": grid_a,
-        "grid_b": grid_b,
-    }
-
-
 def build_adversarial_collection(model: Model, space, agent_cfg: AgentConfig,
                                  run_seed: int, count: int, n_rows: int
                                  ) -> list[Dataset]:
@@ -149,16 +130,21 @@ def ordinary_vs_adversarial(model: Model, space: GeneratorHyperSpace,
     ordinary_b = ordinary_collection(space, run_seed, 42, count, n_rows)
     adversarial = build_adversarial_collection(model, space, agent_cfg, run_seed,
                                                count, n_rows)
-    baseline = prior_diversity_report(ordinary_a, ordinary_b)
-    shifted = prior_diversity_report(ordinary_a, adversarial)
+    grids = {name: histogram_density(pooled_points(coll)) for name, coll in
+             (("ordinary_a", ordinary_a), ("ordinary_b", ordinary_b),
+              ("adversarial", adversarial))}
+
+    def pearson(coll) -> dict:
+        signal = np.array([pearson_signal(ds) for ds in coll])
+        return {"mean": float(signal.mean()), "std": float(signal.std())}
+
     summary = {
         "datasets_per_collection": count,
         "rows_per_dataset": n_rows,
-        "kl_ordinary_vs_ordinary": baseline["kl_ab"],
-        "kl_ordinary_vs_adversarial": shifted["kl_ab"],
-        "pearson_ordinary": baseline["pearson_a"],
-        "pearson_adversarial": shifted["pearson_b"],
+        "kl_ordinary_vs_ordinary": kl_divergence(grids["ordinary_a"], grids["ordinary_b"]),
+        "kl_ordinary_vs_adversarial": kl_divergence(grids["ordinary_a"],
+                                                    grids["adversarial"]),
+        "pearson_ordinary": pearson(ordinary_a),
+        "pearson_adversarial": pearson(adversarial),
     }
-    grids = {"ordinary_a": baseline["grid_a"], "ordinary_b": baseline["grid_b"],
-             "adversarial": shifted["grid_b"]}
     return summary, grids

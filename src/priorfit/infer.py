@@ -112,15 +112,17 @@ def normalize_train_test(train_x: np.ndarray, test_x: np.ndarray,
                          train_missing: np.ndarray, test_missing: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Z-score and clip both splits with the observed training cells' mean and
-    spread; a column with no spread and every missing cell become 0."""
+    spread; every missing cell, and a column whose observed training cells
+    are all equal (its float std can be a rounding residue above 0), become 0."""
     masked = np.where(train_missing, np.nan, train_x)
     with warnings.catch_warnings():  # a column with no observed cell gives 0, 0
         warnings.simplefilter("ignore", RuntimeWarning)
         mu = np.nan_to_num(np.nanmean(masked, axis=0))
         sd = np.nan_to_num(np.nanstd(masked, axis=0))
-    safe = np.where(sd > 0, sd, 1.0)
+        spread = (np.nanmax(masked, axis=0) > np.nanmin(masked, axis=0)) & (sd > 0)
+    safe = np.where(spread, sd, 1.0)
     def scaled(x, missing):
-        z = np.where(sd > 0, np.clip((x - mu) / safe, -4.0, 4.0), 0.0)
+        z = np.where(spread, np.clip((x - mu) / safe, -4.0, 4.0), 0.0)
         return np.nan_to_num(np.where(missing, 0.0, z))
     return scaled(train_x, train_missing), scaled(test_x, test_missing)
 
@@ -203,15 +205,6 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
         parts = decoded(lambda h: [t.data[0] for t in model.gaussian_head(h)])
     mu, sigma = (np.concatenate(p, dtype=np.float64) for p in zip(*parts))
     return Prediction(task=REGRESSION, mu=mu * scale + y_mu, sigma=sigma * scale)
-
-
-def _checked(model: Model, fn):
-    """Run fn(checksum) and refuse if the parameters moved meanwhile."""
-    before = model.checksum()
-    out = fn(before)
-    if model.checksum() != before:
-        raise ZeroUpdateViolation("model parameters changed during prediction")
-    return out
 
 
 def _combine_batches(parts: list[Prediction], batches: list[Dataset]
@@ -298,11 +291,15 @@ def predict(model: Model, train: Dataset, test_x: np.ndarray,
     permutations = derive_rng(seed, NS_EVAL, 1)
     orders = [None] + [permutations.permutation(train.d) for _ in range(ensemble - 1)]
 
-    def member(cols, checksum) -> Prediction:
+    checksum = model.checksum()
+
+    def member(cols) -> Prediction:
         x, missing = columns(test_x, cols), columns(test_missing, cols)
         return _combine_batches(
             [_forward_prediction(model, b.take(cols=cols), x, missing, checksum)
              for b in batches], batches)
 
-    return _checked(model, lambda checksum: _combine_members(
-        [member(cols, checksum) for cols in orders]))
+    out = _combine_members([member(cols) for cols in orders])
+    if model.checksum() != checksum:
+        raise ZeroUpdateViolation("model parameters changed during prediction")
+    return out

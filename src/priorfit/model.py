@@ -170,26 +170,20 @@ class Model:
 
     # -- embedding --------------------------------------------------------
 
-    def _attention(self, h: Tensor, key_count: int, prefix: str,
-                   kv: Optional[dict] = None) -> Tensor:
-        """Multi-head attention of every row of h over the first key_count rows
-        of h, projected after the queries. kv caches the head-split keys and
-        values per block: an entry present is attended to instead, a missing
-        one is stored."""
-        weights = (self.params[f"{prefix}/attn/{w}"] for w in ("wq", "wk", "wv", "wo"))
-        out, kv_arrays = T.attention(h, *weights, self.cfg.n_heads, key_count,
-                                     None if kv is None else kv.get(prefix))
-        if kv is not None:
-            kv.setdefault(prefix, kv_arrays)
-        return out
-
     def _block(self, x: Tensor, key_count: int, prefix: str,
                kv: Optional[dict] = None) -> Tensor:
         """Pre-norm transformer block; attention keys are the first key_count
-        rows (test masking) or the block's kv entry."""
+        rows (test masking) or the block's kv entry. kv caches the head-split
+        keys and values per block: an entry present is attended to, a missing
+        one is stored."""
         p = self.params
         h = T.layer_norm(x, p[f"{prefix}/ln1/gain"], p[f"{prefix}/ln1/bias"])
-        x = T.add(x, self._attention(h, key_count, prefix, kv))
+        out, kv_arrays = T.attention(
+            h, *(p[f"{prefix}/attn/{w}"] for w in ("wq", "wk", "wv", "wo")),
+            self.cfg.n_heads, key_count, None if kv is None else kv.get(prefix))
+        if kv is not None:
+            kv.setdefault(prefix, kv_arrays)
+        x = T.add(x, out)
         h = T.layer_norm(x, p[f"{prefix}/ln2/gain"], p[f"{prefix}/ln2/bias"])
         h = T.matmul(T.gelu(T.add(T.matmul(h, p[f"{prefix}/ff/w1"]), p[f"{prefix}/ff/b1"])),
                      p[f"{prefix}/ff/w2"])
@@ -263,10 +257,10 @@ class Model:
         p = self.params
         scale = 1.0 / np.sqrt(self.cfg.d_model)
         w_logits = T.mul(T.matmul(T.matmul(q_t, p["mixture/weight_q"]),
-                                  T.swap_last(keys["weight_k"])), scale)
+                                  T.permute(keys["weight_k"], (0, 2, 1))), scale)
         probs = T.softmax(w_logits, axis=-1)
         g_logits = T.mul(T.matmul(T.matmul(q_t, p["mixture/gate_q"]),
-                                  T.swap_last(keys["gate_k"])), scale)
+                                  T.permute(keys["gate_k"], (0, 2, 1))), scale)
         if gate_rng is None:
             gates = T.sigmoid(g_logits)
         else:

@@ -491,10 +491,10 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
     One op per call: the scaled scores, their max-shift, exp and
     normalization share the one buffer the score GEMM returns. Values and
     gradients are bytewise those of the composition matmul / reshape /
-    permute / swap_last / mul / softmax: the forward issues the same numpy
-    calls on the same layouts, and the backward replays that composition's
-    per-op gradients in the tape's order, summing the keys' and h's
-    gradient paths in the same association. Cached keys and values have no
+    permute / mul / softmax: the forward issues the same numpy calls on the
+    same layouts, and the backward replays that composition's per-op
+    gradients in the tape's order, summing the keys' and h's gradient paths
+    in the same association. Cached keys and values have no
     gradient path to wk and wv, so kv under a recording tape is refused.
     """
     h, wq, wk, wv, wo = parents = tuple(_as_tensor(t) for t in (h, wq, wk, wv, wo))
@@ -575,13 +575,6 @@ def permute(a, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
     return _record("permute", a.data.transpose(axes), (a,),
                    lambda g: (g.transpose(inv),))
-
-
-def swap_last(a) -> Tensor:
-    """Transpose the last two axes."""
-    a = _as_tensor(a)
-    return _record("swap_last", np.swapaxes(a.data, -1, -2), (a,),
-                   lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def slice_(a, key) -> Tensor:

@@ -19,7 +19,7 @@ import contextlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -105,14 +105,6 @@ class TrainLog:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def nll_series(self) -> list[float]:
-        return [r["nll"] for r in self.records if "nll" in r]
-
-    @staticmethod
-    def read(path) -> list[dict]:
-        with open(path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +322,22 @@ def _checkpoint_payload(cfg: TrainConfig, agents: list[AgentState],
     return extra, arrays
 
 
+def _refuse_config_drift(kind: str, stored, ours) -> None:
+    """Refuse to resume under a config that differs from the checkpoint's,
+    naming the differing fields."""
+    differ = [f.name for f in fields(ours)
+              if getattr(stored, f.name) != getattr(ours, f.name)]
+    if differ:
+        raise ValueError(f"checkpoint was written with a different {kind} config: "
+                         + ", ".join(differ))
+
+
 def _restore_training_state(extra: dict, aux: dict, cfg: TrainConfig,
                             agents: list[AgentState]) -> tuple[AdamState, int]:
-    stored = extra["train_config"]
-    ours = asdict(cfg)
-    ours["rows"], stored["rows"] = list(ours["rows"]), list(stored["rows"])
-    if stored != ours:
-        raise ValueError("checkpoint was written with a different train config")
+    from .config import _build
+    if "train_config" not in extra:
+        raise ValueError("checkpoint holds no training state to resume from")
+    _refuse_config_drift("train", _build(TrainConfig, extra["train_config"]), cfg)
     adam = AdamState(extra["adam"]["beta1"], extra["adam"]["beta2"],
                      extra["adam"]["eps"])
     adam.t = extra["adam"]["t"]
@@ -379,11 +380,7 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
         agents = make_agents(cfg.datasets_per_step, space, cfg.seed, agent_cfg)
         if resume_from is not None:
             model, extra, aux = Model.load(resume_from)
-            stored = asdict(model.cfg)
-            differ = [k for k, v in asdict(model_cfg).items() if stored[k] != v]
-            if differ:
-                raise ValueError("checkpoint was written with a different model config: "
-                                 + ", ".join(differ))
+            _refuse_config_drift("model", model.cfg, model_cfg)
             adam, start = _restore_training_state(extra, aux, cfg, agents)
         else:
             model = Model(model_cfg, seed=derive_seed(cfg.seed, NS_MODEL_INIT))

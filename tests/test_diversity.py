@@ -7,8 +7,7 @@ from priorfit.agents import AgentConfig
 from priorfit.model import Model, ModelConfig
 from priorfit.prior import CLASSIFICATION, Dataset, GeneratorHyperSpace
 from priorfit.diversity import (histogram_density, kl_divergence,
-                                pearson_signal, pooled_points,
-                                prior_diversity_report)
+                                pearson_signal, pooled_points)
 from priorfit.train import _forward_episode_losses
 
 
@@ -88,17 +87,58 @@ class TestDiversityReport:
     def test_identical_collections_zero_kl(self):
         rng = np.random.default_rng(5)
         coll = [two_feature_dataset(rng) for _ in range(20)]
-        report = prior_diversity_report(coll, coll)
-        assert report["kl_ab"] == 0.0 and report["kl_ba"] == 0.0
+        grid = histogram_density(pooled_points(coll))
+        assert kl_divergence(grid, grid) == 0.0
 
     def test_shifted_collection_positive_kl(self):
         rng = np.random.default_rng(6)
         a = [two_feature_dataset(rng) for _ in range(30)]
         b = [two_feature_dataset(rng, shift=1.0) for _ in range(30)]
-        report = prior_diversity_report(a, b)
-        assert report["kl_ab"] > 0.01
-        assert report["grid_a"].shape == (64, 64)
-        assert report["pearson_a"]["mean"] >= 0
+        grid_a, grid_b = (histogram_density(pooled_points(c)) for c in (a, b))
+        assert kl_divergence(grid_a, grid_b) > 0.01
+        assert grid_a.shape == (64, 64)
+        assert all(pearson_signal(ds) >= 0 for ds in a)
+
+    def test_summary_recomputes_from_its_collections(self, monkeypatch):
+        built = []
+
+        def recorded(build):
+            def wrapper(*args, **kwargs):
+                built.append(build(*args, **kwargs))
+                return built[-1]
+            return wrapper
+
+        for name in ("ordinary_collection", "build_adversarial_collection"):
+            monkeypatch.setattr(diversity, name, recorded(getattr(diversity, name)))
+        model = Model(ModelConfig(d_model=16, n_blocks=1, n_heads=2, d_ff=24,
+                                  feature_width=2), seed=0)
+        space = GeneratorHyperSpace(feature_count=(2, 2), hidden_width=(6, 8),
+                                    layer_count=(2, 2))
+        summary, grids = diversity.ordinary_vs_adversarial(
+            model, space, AgentConfig(), run_seed=3, count=4, n_rows=20)
+
+        ordinary_a, ordinary_b, adversarial = built
+        want = {name: histogram_density(pooled_points(coll)) for name, coll in
+                (("ordinary_a", ordinary_a), ("ordinary_b", ordinary_b),
+                 ("adversarial", adversarial))}
+        assert list(grids) == list(want)
+        for name, grid in want.items():
+            np.testing.assert_array_equal(grids[name], grid)
+
+        def pearson(coll):
+            signal = np.array([pearson_signal(ds) for ds in coll])
+            return {"mean": float(signal.mean()), "std": float(signal.std())}
+
+        assert summary == {
+            "datasets_per_collection": 4,
+            "rows_per_dataset": 20,
+            "kl_ordinary_vs_ordinary": kl_divergence(want["ordinary_a"],
+                                                     want["ordinary_b"]),
+            "kl_ordinary_vs_adversarial": kl_divergence(want["ordinary_a"],
+                                                        want["adversarial"]),
+            "pearson_ordinary": pearson(ordinary_a),
+            "pearson_adversarial": pearson(adversarial),
+        }
 
     def test_feature_count_enforced(self):
         rng = np.random.default_rng(7)

@@ -64,9 +64,16 @@ class TestNormalizeTrainTest:
         # observed cells z-scored over observed entries only
         np.testing.assert_allclose(tr[0, 0], -1.0)
 
-    def test_zero_variance_column_zeroed(self):
-        tr, te = normalize_train_test(np.full((4, 1), 2.2), np.full((2, 1), 9.9),
-                                      np.zeros((4, 1), bool), np.zeros((2, 1), bool))
+    @pytest.mark.parametrize("column, missing", [
+        ([2.2] * 4, [False] * 4),
+        # the float std of these constant columns is 1.4e-17, not 0
+        ([0.1] * 3, [False] * 3),
+        ([0.1] * 7, [False] * 7),
+        ([0.1, 0.1, 5.0, 0.1], [False, False, True, False]),
+    ], ids=["2.2x4", "0.1x3", "0.1x7", "0.1x3-beside-missing"])
+    def test_zero_variance_column_zeroed(self, column, missing):
+        tr, te = normalize_train_test(np.array(column)[:, None], np.array([[0.3], [9.9]]),
+                                      np.array(missing)[:, None], np.zeros((2, 1), bool))
         np.testing.assert_array_equal(tr, 0.0)
         np.testing.assert_array_equal(te, 0.0)
 

@@ -411,7 +411,7 @@ def reference_attention(h, wq, wk, wv, wo, heads, key_count=None, kv=None):
     keys = h if key_count is None or kv is not None else h[:, :key_count]
     q = split(T.matmul(h, wq))
     k, v = kv or (split(T.matmul(keys, wk)), split(T.matmul(keys, wv)))
-    scores = T.mul(T.matmul(q, T.swap_last(k)), 1.0 / np.sqrt(dh))
+    scores = T.mul(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     ctx = T.matmul(T.softmax(scores, axis=-1), v)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B, n, d))
     return T.matmul(ctx, wo), (k, v)

@@ -263,7 +263,6 @@ class TestGradOracle:
         x = rng.standard_normal((3, 4, 5))
         check_op(lambda a: T.reshape(a, (12, 5)), [x], rng)
         check_op(lambda a: T.permute(a, (2, 0, 1)), [x], rng)
-        check_op(T.swap_last, [x], rng)
         check_op(lambda a: a[1:, :, 2:4], [x], rng)
         check_op(lambda a, b: T.concat([a, b], axis=1),
                  [x, rng.standard_normal((3, 2, 5))], rng)

@@ -12,7 +12,7 @@ from priorfit.tensor import Tensor
 from priorfit.agents import AgentConfig, make_agents
 from priorfit.model import Model, ModelConfig
 from priorfit.prior import CLASSIFICATION, REGRESSION, Dataset, GeneratorHyperSpace
-from priorfit.train import (NLL_EPSILON, AdamState, TrainConfig, TrainLog,
+from priorfit.train import (NLL_EPSILON, AdamState, TrainConfig,
                             _forward_episode_losses, nll_classification,
                             nll_regression, pretrain, sample_split, train_step)
 from gradcheck import finite_diff
@@ -290,8 +290,9 @@ class TestPretrain:
                               total_datasets=4)
         model, log = pretrain(cfg, MODEL_CFG, SPACE,
                               log_path=tmp_path / "log.ndjson")
-        assert len(log.nll_series()) == 1
-        on_disk = TrainLog.read(tmp_path / "log.ndjson")
+        assert len([r for r in log.records if "nll" in r]) == 1
+        on_disk = [json.loads(line)
+                   for line in (tmp_path / "log.ndjson").read_text().splitlines()]
         assert len([r for r in on_disk if "nll" in r]) == 1
 
     def test_step_indices_monotone(self, tmp_path):
@@ -352,9 +353,17 @@ class TestPretrain:
     def test_resume_rejects_config_drift(self, tmp_path):
         cfg = small_train_cfg(total_datasets=8)
         pretrain(cfg, MODEL_CFG, SPACE, checkpoint_path=tmp_path / "a.ckpt")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed"):
             pretrain(small_train_cfg(total_datasets=8, seed=99), MODEL_CFG, SPACE,
                      resume_from=tmp_path / "a.ckpt")
+
+    def test_resume_refuses_checkpoint_without_training_state(self, tmp_path):
+        # a Model.save checkpoint holds parameters only; resuming it used to
+        # raise KeyError: 'train_config'
+        Model(MODEL_CFG, seed=0).save(tmp_path / "params.ckpt")
+        with pytest.raises(ValueError, match="no training state"):
+            pretrain(small_train_cfg(total_datasets=8), MODEL_CFG, SPACE,
+                     resume_from=tmp_path / "params.ckpt")
 
     def test_resume_rejects_model_config_drift(self, tmp_path):
         # the checkpoint's model used to keep training under a different config
@@ -406,7 +415,7 @@ class TestPretrain:
                                     layer_count=(2, 2), classification_prob=0.5)
         cfg = small_train_cfg(total_datasets=12, datasets_per_step=6)
         model, log = pretrain(cfg, MODEL_CFG, space)
-        assert all(np.isfinite(v) for v in log.nll_series())
+        assert all(np.isfinite(r["nll"]) for r in log.records if "nll" in r)
 
     def test_adversarial_training_runs_and_resets(self):
         cfg = small_train_cfg(total_datasets=24, datasets_per_step=4)
@@ -414,4 +423,4 @@ class TestPretrain:
         model, log = pretrain(cfg, MODEL_CFG, SPACE, agent_cfg)
         resets = sum(r.get("resets", 0) for r in log.records)
         assert resets >= 2  # period 2 over 6 steps, 2 agents
-        assert all(np.isfinite(v) for v in log.nll_series())
+        assert all(np.isfinite(r["nll"]) for r in log.records if "nll" in r)
