@@ -37,16 +37,23 @@ block's head-split key and value arrays, written once by the encode:
 n_blocks x 2 x n_train x d_model floats (plus the two mixture key
 projections of the training states, 2 x n_train x d_model).
 
-The decode chunks fan out over `_decode_workers` threads, as many as the
-usable CPUs the BLAS library leaves idle (CPUs // BLAS threads, at most one
-per chunk), and are concatenated in chunk order. With BLAS threads not
-pinned, OpenBLAS takes every CPU and the decode stays serial. The output
-bytes do not depend on the worker count: each chunk runs the same ops on the
-same rows as in the serial loop, the context is encoded before the fan-out
-and only read by the chunks, each attention call softmaxes in its own scores
-buffer, and the caller's dtype scope holds until every chunk is done.
+The decode chunks fan out over `_map_on_idle_cpus`, on as many threads as
+the usable CPUs the BLAS library leaves idle (`_idle_cpu_threads`: CPUs //
+BLAS threads, at most one per chunk), and are concatenated in chunk order.
+With BLAS threads not pinned, OpenBLAS takes every CPU and the decode stays
+serial. The output bytes do not depend on the worker count: each chunk runs
+the same ops on the same rows as in the serial loop, the context is encoded
+before the fan-out and only read by the chunks, each attention call
+softmaxes in its own scores buffer, and each chunk enters the model's dtype
+scope itself, since a dtype scope is per thread (`tensor.dtype_scope`).
 `predict` refuses to run under a recording tape, which the threads would
 share. The pool is joined before `predict` returns, also when a chunk raises.
+
+`predict` may run on several threads at once (`evaluate` scores its splits
+so): it holds no process-global state but the context cache, and `_encode`
+returns the entry it found or built, never one another thread stored since.
+Two threads that miss the cache encode at the same time, so two contexts can
+be in memory at once.
 
 The forward pass runs at the model's parameter dtype (`Model.dtype`): the
 encode and decode run with it as the default dtype, so inputs, padding, gate
@@ -62,7 +69,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -115,11 +121,9 @@ def normalize_train_test(train_x: np.ndarray, test_x: np.ndarray,
     spread; every missing cell, and a column whose observed training cells
     are all equal (its float std can be a rounding residue above 0), become 0."""
     masked = np.where(train_missing, np.nan, train_x)
-    with warnings.catch_warnings():  # a column with no observed cell gives 0, 0
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mu = np.nan_to_num(np.nanmean(masked, axis=0))
-        sd = np.nan_to_num(np.nanstd(masked, axis=0))
-        spread = (np.nanmax(masked, axis=0) > np.nanmin(masked, axis=0)) & (sd > 0)
+    masked[:, train_missing.all(axis=0)] = 0.0  # no observed cell: mean 0, no spread
+    mu, sd = np.nanmean(masked, axis=0), np.nanstd(masked, axis=0)
+    spread = (np.nanmax(masked, axis=0) > np.nanmin(masked, axis=0)) & (sd > 0)
     safe = np.where(spread, sd, 1.0)
     def scaled(x, missing):
         z = np.where(spread, np.clip((x - mu) / safe, -4.0, 4.0), 0.0)
@@ -132,23 +136,26 @@ _encoded: tuple = (None, None)  # (key, EncodedContext) of the last encode
 
 def _encode(model: Model, checksum: int, train_xn: np.ndarray,
             y_train: np.ndarray) -> EncodedContext:
-    """The encoded training context, from the one-entry cache on a key hit."""
+    """The encoded training context, from the one-entry cache on a key hit.
+    The entry is read once and returned from a local, so a thread gets the
+    context it found or built even when another thread replaces the entry."""
     global _encoded
     digest = hashlib.blake2b(digest_size=32)
     for a in (train_xn, y_train):
         digest.update(f"{a.shape}{a.dtype.str}".encode())
         digest.update(np.ascontiguousarray(a).tobytes())
     key = (checksum, model.cfg, np.dtype(T.default_dtype()).str, digest.digest())
-    if _encoded[0] != key:
-        _encoded = (None, None)  # free the old entry before encoding
-        _encoded = (key, model.encode_context(Tensor(train_xn[None]),
-                                              Tensor(y_train[None])))
-    return _encoded[1]
+    entry = _encoded
+    if entry[0] != key:
+        _encoded = entry = (None, None)  # free the old entry before encoding
+        _encoded = entry = (key, model.encode_context(Tensor(train_xn[None]),
+                                                      Tensor(y_train[None])))
+    return entry[1]
 
 
-def _decode_workers(n_chunks: int) -> int:
-    """Threads that decode n_chunks query chunks: the usable CPUs the BLAS
-    library leaves idle, at most one per chunk and at least one. BLAS threads
+def _idle_cpu_threads(n_tasks: int) -> int:
+    """Threads that run n_tasks independent tasks: the usable CPUs the BLAS
+    library leaves idle, at most one per task and at least one. BLAS threads
     are read as OpenBLAS reads them at load, from the first of these variables
     that holds a positive integer; with none, BLAS takes every usable CPU."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -162,7 +169,23 @@ def _decode_workers(n_chunks: int) -> int:
         if threads > 0:
             blas = threads
             break
-    return max(1, min(n_chunks, cpus // blas))
+    return max(1, min(n_tasks, cpus // blas))
+
+
+def _map_on_idle_cpus(fn, items) -> list:
+    """[fn(item) for item in items], on _idle_cpu_threads threads; serial on
+    the calling thread when that is one. Every thread is joined before the
+    call returns, also when fn raises; then the items not yet started are
+    dropped."""
+    workers = _idle_cpu_threads(len(items))
+    if workers == 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            return list(pool.map(fn, items))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
@@ -184,18 +207,16 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
         scale = y_sd if y_sd > 0 else 1.0
         y_train = np.clip((y_raw - y_mu) / scale, -4.0, 4.0)
 
-    with T.dtype_scope(model.dtype):
+    dtype = model.dtype
+    with T.dtype_scope(dtype):
         context = _encode(model, checksum, train_xn, y_train)
 
         def decoded(head) -> list:  # head outputs, QUERY_CHUNK test rows at a time
             def chunk(s):
-                return head(model.decode(Tensor(test_xn[None, s:s + QUERY_CHUNK]), context))
-            starts = range(0, max(test_xn.shape[0], 1), QUERY_CHUNK)
-            workers = _decode_workers(len(starts))
-            if workers == 1:
-                return list(map(chunk, starts))
-            with ThreadPoolExecutor(workers) as pool:
-                return list(pool.map(chunk, starts))
+                with T.dtype_scope(dtype):  # a decode thread starts at float64
+                    return head(model.decode(Tensor(test_xn[None, s:s + QUERY_CHUNK]),
+                                             context))
+            return _map_on_idle_cpus(chunk, range(0, max(test_xn.shape[0], 1), QUERY_CHUNK))
 
         if train.task == CLASSIFICATION:
             probs = decoded(lambda h: model.class_head(

@@ -22,34 +22,42 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
 
-_DEFAULT_DTYPE = np.float64
-
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
+class _DefaultDtype(threading.local):
+    # a thread that never entered a scope reads this class attribute, which
+    # is faster than a miss on a plain threading.local
+    value = np.float64
+
+
+_DEFAULT = _DefaultDtype()
+
+
 def default_dtype():
-    return _DEFAULT_DTYPE
+    return _DEFAULT.value
 
 
 @contextlib.contextmanager
 def dtype_scope(dtype):
     """Make dtype (float32 or float64) the default new tensors are created
     with for the body; the previous default is restored on exit, also when
-    the body raises."""
-    global _DEFAULT_DTYPE
+    the body raises. The scope is per thread: it sets the calling thread's
+    default only, and a new thread starts at float64."""
     dtype = np.dtype(dtype).type
     if dtype not in _FLOAT_DTYPES:
         raise ValueError(f"unsupported default dtype {dtype}")
-    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
+    prev, _DEFAULT.value = _DEFAULT.value, dtype
     try:
         yield
     finally:
-        _DEFAULT_DTYPE = prev
+        _DEFAULT.value = prev
 
 
 class TensorError(Exception):
@@ -80,7 +88,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_producer")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=dtype or _DEFAULT.value)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._producer: Optional["Tape"] = None
@@ -179,7 +187,7 @@ class Tape:
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+    return Tensor(np.asarray(x, dtype=_DEFAULT.value))
 
 
 def _record(name: str, out_arr: np.ndarray, parents: Sequence[Tensor],
@@ -523,7 +531,7 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
         k, v = kv
         if k.shape != v.shape or k.shape[:2] + k.shape[3:] != (B, heads, dh):
             raise ShapeMismatch("attention(kv)", h.shape, k.shape, v.shape)
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=_DEFAULT_DTYPE)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=_DEFAULT.value)
     probs = _inplace(np.multiply, q @ np.swapaxes(k, -1, -2), scale)
     probs = _softmax_into(probs, -1, out=probs)
     ctx = merge(probs @ v)

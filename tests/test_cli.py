@@ -1,5 +1,9 @@
+import itertools
 import json
+import logging
+import re
 import sys
+import threading
 from collections import defaultdict
 
 import numpy as np
@@ -302,6 +306,102 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
                    "--suite", str(empty), "--splits", "2"])
         assert rc == 1
+
+
+def evaluation_suite(suite, rows=40):
+    """Two generated tables of `rows` rows and, between and after them, two
+    five-row classification tables whose single test row refuses every split."""
+    suite.mkdir()
+    space = GeneratorHyperSpace(feature_count=(2, 3), hidden_width=(6, 8),
+                                layer_count=(2, 2), categorical_fraction=(0.0, 0.0))
+    labels = np.array([0, 1, 0, 1, 0])
+    tiny = Dataset(X=Tensor(np.arange(10.0).reshape(5, 2)),
+                   y_values=Tensor(labels.astype(float)), y_labels=labels,
+                   cat_mask=np.zeros(2, dtype=bool), task=CLASSIFICATION, n_classes=2)
+    for i, name in enumerate(["a", "c"]):
+        export_csv(generate_dataset(sample_generator(space, 80 + i), rows, seed=i),
+                   suite / f"{name}.csv")
+    for name in ("b_tiny", "d_tiny"):
+        export_csv(tiny, suite / f"{name}.csv")
+    return suite
+
+
+class TestThreadedEvaluate:
+    """evaluate scores its (dataset, split) pairs on infer._idle_cpu_threads
+    threads; the report, the table and the warnings do not depend on the
+    count, and no thread outlives the command."""
+
+    @staticmethod
+    def evaluate(monkeypatch, capsys, caplog, workers, checkpoint, suite, report,
+                 splits=3):
+        monkeypatch.setattr(infer, "_idle_cpu_threads", lambda n_tasks: workers)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="priorfit.cli"):
+            rc = main(["evaluate", "--checkpoint", str(checkpoint), "--suite", str(suite),
+                       "--splits", str(splits), "--output", str(report)])
+        assert rc == 0
+        table = capsys.readouterr().out
+        assert re.search(r"\(\d+\.\ds, \d+\.\d\ds per dataset\)\n$", table)
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        return report.read_bytes(), re.sub(r"\([^()]*per dataset\)", "", table), skipped
+
+    def test_report_table_and_warnings_independent_of_thread_count(
+            self, run_dir, tmp_path, capsys, caplog, monkeypatch):
+        _, _, out = run_dir
+        suite = evaluation_suite(tmp_path / "suite")
+        score, threads = cli._split_score, set()
+
+        def spied(*args, **kwargs):
+            threads.add(threading.current_thread() is threading.main_thread())
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_split_score", spied)
+        runs = {}
+        for workers in (1, 2):
+            threads.clear()
+            runs[workers] = self.evaluate(monkeypatch, capsys, caplog, workers,
+                                          out / "checkpoint.npz", suite,
+                                          tmp_path / f"report{workers}.ndjson")
+            assert threads == {workers == 1}  # on the main thread only when serial
+        assert runs[1] == runs[2]
+        report, table, skipped = runs[2]
+        assert "failed splits 6" in table
+        assert json.loads(report.splitlines()[-1])["summary"]["failed_splits"] == 6
+        assert [m.split(":")[0] for m in skipped] == [
+            f"{name}.csv split {s} skipped" for name in ("b_tiny", "d_tiny")
+            for s in range(3)]
+
+    def test_decode_threads_nested_in_evaluate_threads(
+            self, run_dir, tmp_path, capsys, caplog, monkeypatch):
+        _, _, out = run_dir
+        rows = 1300  # 260 test rows per split: two decode chunks
+        assert rows - round(0.8 * rows) > infer.QUERY_CHUNK
+        suite = evaluation_suite(tmp_path / "suite", rows=rows)
+        runs = [self.evaluate(monkeypatch, capsys, caplog, workers, out / "checkpoint.npz",
+                              suite, tmp_path / f"report{workers}.ndjson", splits=2)
+                for workers in (1, 2)]
+        assert runs[0] == runs[1]
+
+    def test_job_error_exits_1_and_joins_every_thread(self, run_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        _, _, out = run_dir
+        suite = evaluation_suite(tmp_path / "suite")
+        monkeypatch.setattr(infer, "_idle_cpu_threads", lambda n_tasks: 2)
+        calls, score = itertools.count(1), cli._split_score
+
+        def third_fails(*args, **kwargs):
+            if next(calls) == 3:
+                raise RuntimeError("split failed")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_split_score", third_fails)
+        before = threading.active_count()
+        rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                   "--suite", str(suite), "--splits", "3"])
+        assert rc == 1
+        assert threading.active_count() == before
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err) == {"error": "RuntimeError", "message": "split failed"}
 
 
 class TestSplitScore:

@@ -4,6 +4,8 @@ import os
 import sys
 import tempfile
 import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -76,6 +78,85 @@ class TestNormalizeTrainTest:
                                       np.array(missing)[:, None], np.zeros((2, 1), bool))
         np.testing.assert_array_equal(tr, 0.0)
         np.testing.assert_array_equal(te, 0.0)
+
+    @staticmethod
+    def warning_silencing_normalization(train_x, test_x, train_missing, test_missing):
+        """The formulation that silenced the all-missing column's nan-reduction
+        warnings and mapped its nan mean and spread to 0."""
+        masked = np.where(train_missing, np.nan, train_x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mu = np.nan_to_num(np.nanmean(masked, axis=0))
+            sd = np.nan_to_num(np.nanstd(masked, axis=0))
+            spread = (np.nanmax(masked, axis=0) > np.nanmin(masked, axis=0)) & (sd > 0)
+        safe = np.where(spread, sd, 1.0)
+
+        def scaled(x, missing):
+            z = np.where(spread, np.clip((x - mu) / safe, -4.0, 4.0), 0.0)
+            return np.nan_to_num(np.where(missing, 0.0, z))
+        return scaled(train_x, train_missing), scaled(test_x, test_missing)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_all_missing_column_warns_nothing_and_keeps_its_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 9)), 4
+        train_x, test_x = rng.standard_normal((n, d)), rng.standard_normal((3, d))
+        train_x[:, 2] = 0.1  # constant
+        train_missing = rng.random((n, d)) < 0.4  # partly missing
+        train_missing[:, 0] = True  # all missing
+        test_missing = rng.random((3, d)) < 0.4
+        train_x[train_missing], test_x[test_missing] = np.nan, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filters = list(warnings.filters)
+            got = normalize_train_test(train_x, test_x, train_missing, test_missing)
+            assert warnings.filters == filters
+        want = self.warning_silencing_normalization(train_x, test_x, train_missing,
+                                                    test_missing)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_overlapping_threads_warn_nothing_and_leave_filters(self, monkeypatch):
+        """The second thread computes while the first has already returned; a
+        warnings.catch_warnings inside the function would have restored the
+        filters under the second and then leaked its own on the way out."""
+        train = np.array([[np.nan, 1.0], [np.nan, 3.0]])
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        nanmean = np.nanmean
+
+        def sequenced(*args, **kwargs):
+            if threading.current_thread().name == "first":
+                first_in.set()
+                second_in.wait(10)
+            elif not second_in.is_set():
+                second_in.set()
+                first_out.wait(10)
+            return nanmean(*args, **kwargs)
+
+        errors = []
+
+        def normalize(done=None):
+            try:
+                normalize_train_test(train, train, np.isnan(train), np.isnan(train))
+            except Exception as err:
+                errors.append(err)
+            if done is not None:
+                done.set()
+
+        monkeypatch.setattr(np, "nanmean", sequenced)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filters = list(warnings.filters)
+            first = threading.Thread(target=normalize, args=(first_out,), name="first")
+            second = threading.Thread(target=normalize, name="second")
+            first.start()
+            first_in.wait(10)
+            second.start()
+            first.join(10)
+            second.join(10)
+            assert not first.is_alive() and not second.is_alive()
+            assert errors == []
+            assert warnings.filters == filters
 
 
 class TestSubsampleFeatures:
@@ -614,7 +695,7 @@ class TestPredictAtModelDtype:
 
 
 def decode_workers(monkeypatch, workers):
-    monkeypatch.setattr(infer, "_decode_workers", lambda n_chunks: workers)
+    monkeypatch.setattr(infer, "_idle_cpu_threads", lambda n_tasks: workers)
 
 
 class TestMissingMasks:
@@ -672,8 +753,78 @@ class TestMissingMasks:
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
+class TestConcurrentPredict:
+    def test_encode_returns_its_own_context_when_another_thread_stores(
+            self, monkeypatch):
+        """Thread B stores its cache entry after thread A has stored its own
+        and before A's _encode returns (a line trace on A's _encode frame
+        holds A there); A's prediction must still use A's context."""
+        rng = np.random.default_rng(41)
+        train_a, train_b = class_train(rng), class_train(rng)
+        test_x = rng.standard_normal((6, 3))
+        serial = predicted(MODEL, train_a, test_x)
+        monkeypatch.setattr(infer, "_encoded", (None, None))
+        contexts, encode = [], Model.encode_context
+
+        def recorded(self, *args):
+            contexts.append(encode(self, *args))
+            return contexts[-1]
+
+        monkeypatch.setattr(Model, "encode_context", recorded)
+        b_stored = threading.Event()
+
+        def run_b():
+            predict(MODEL, train_b, test_x)
+            b_stored.set()
+
+        def in_encode(frame, event, arg):
+            if (event == "line" and not b_stored.is_set() and contexts
+                    and infer._encoded[1] is contexts[0]):  # A's entry is stored
+                b = threading.Thread(target=run_b)
+                b.start()
+                b.join(10)
+            return in_encode
+
+        def trace(frame, event, arg):
+            return in_encode if frame.f_code is infer._encode.__code__ else None
+
+        out = []
+
+        def run_a():
+            sys.settrace(trace)
+            try:
+                out.append(predicted(MODEL, train_a, test_x))
+            finally:
+                sys.settrace(None)
+
+        a = threading.Thread(target=run_a)
+        a.start()
+        a.join(30)
+        assert not a.is_alive()
+        assert b_stored.is_set() and len(contexts) == 2
+        assert out[0].tobytes() == serial.tobytes()
+
+    def test_many_threads_switching_often_match_serial(self):
+        """float32 and float64 models, classification and regression, each
+        call with its own context, on more threads than cores."""
+        rng = np.random.default_rng(42)
+        models = [MODEL, float32_copy(MODEL)]
+        jobs = [(models[i % 2], (class_train if i % 3 else regr_train)(rng),
+                 rng.standard_normal((7, 3))) for i in range(12)]
+        serial = [predicted(*job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(predicted, *job) for job in jobs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [t.tobytes() for t in threaded] == [s.tobytes() for s in serial]
+
+
 class TestThreadedDecode:
-    """predict maps its QUERY_CHUNK decode chunks over _decode_workers
+    """predict maps its QUERY_CHUNK decode chunks over _idle_cpu_threads
     threads: the bytes do not depend on the worker count, and every thread
     is joined before predict returns."""
 
@@ -756,13 +907,13 @@ class TestThreadedDecode:
     def test_workers_are_the_cpus_blas_leaves_idle(self, monkeypatch, two_cpus, env, workers):
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert infer._decode_workers(10) == workers
+        assert infer._idle_cpu_threads(10) == workers
 
     def test_workers_capped_at_the_chunk_count(self, monkeypatch, two_cpus):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert infer._decode_workers(1) == 1
+        assert infer._idle_cpu_threads(1) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert infer._decode_workers(3) == 3
+        assert infer._idle_cpu_threads(3) == 3
 
 
 COLUMN_KINDS = ("numeric", "constant", "categorical", "missing")

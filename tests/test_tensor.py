@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,35 @@ class TestForwardBasics:
             with T.dtype_scope(np.float16):
                 pass
         assert T.default_dtype() is before
+
+    def test_dtype_scope_is_per_thread(self):
+        # B enters float64, A enters float32, B leaves: with one process-wide
+        # default, B's exit would restore float64 under A's open scope
+        b_in, a_in, b_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            b_in.wait(10)
+            with T.dtype_scope(np.float32):
+                a_in.set()
+                b_out.wait(10)
+                seen["a"] = T.default_dtype()
+
+        def b():
+            with T.dtype_scope(np.float64):
+                b_in.set()
+                a_in.wait(10)
+                seen["b"] = T.default_dtype()
+            b_out.set()
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert seen == {"a": np.float32, "b": np.float64}
+        assert T.default_dtype() is np.float64  # the main thread never entered
 
     def test_shape_mismatch_names_op_and_shapes(self):
         with pytest.raises(T.ShapeMismatch) as ei:
