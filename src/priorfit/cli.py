@@ -130,10 +130,13 @@ def _cmd_evaluate(args) -> int:
                 log.warning("%s split %d skipped: %s", path.name, s, err)
             scores.append(score)
         matrix.append(scores)
+        # JSON has no NaN: a refused split, and the mean and std of a dataset
+        # with no scored split, are null
+        any_scored = not np.isnan(scores).all()
         records.append({"dataset": path.stem, "task": ds.task,
-                        "scores": scores,
-                        "mean": float(np.nanmean(scores)),
-                        "std": float(np.nanstd(scores))})
+                        "scores": [None if np.isnan(v) else v for v in scores],
+                        "mean": float(np.nanmean(scores)) if any_scored else None,
+                        "std": float(np.nanstd(scores)) if any_scored else None})
     elapsed = time.perf_counter() - t0
     summary = score_summary(np.array(matrix))
     if args.output:
@@ -143,8 +146,8 @@ def _cmd_evaluate(args) -> int:
     width = max(len(rec["dataset"]) for rec in records)
     print(f"{'dataset':<{width}}  task            mean    std")
     for rec in records:
-        print(f"{rec['dataset']:<{width}}  {rec['task']:<14}"
-              f"{rec['mean']:>8.4f}{rec['std']:>8.4f}")
+        mean, std = (np.nan if v is None else v for v in (rec["mean"], rec["std"]))
+        print(f"{rec['dataset']:<{width}}  {rec['task']:<14}{mean:>8.4f}{std:>8.4f}")
     print(f"overall mean {summary['mean']:.4f}  "
           f"std of mean {summary['std_of_mean']:.4f}  "
           f"mean of std {summary['mean_of_std']:.4f}  "

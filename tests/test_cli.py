@@ -2,9 +2,12 @@ import itertools
 import json
 import logging
 import re
+import subprocess
 import sys
 import threading
+import warnings
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +61,21 @@ def run_dir(tmp_path):
     rc = main(["pretrain", "--config", str(cfg_path), "--outdir", str(out)])
     assert rc == 0
     return tmp_path, cfg_path, out
+
+
+class TestStartup:
+    def test_fresh_import_loads_every_module_and_no_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import priorfit.cli; "
+                "print(json.dumps(sorted(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout)
+        package = {f"priorfit.{p.stem}" for p in (src / "priorfit").glob("*.py")
+                   if p.stem != "__init__"}
+        assert package <= set(loaded)
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
 def make_train_test_csv(tmp_path, seed=0, n=40):
@@ -241,7 +259,7 @@ class TestEvaluateCommand:
         lines = report_path.read_text().splitlines()
         scores = json.loads(lines[0])["scores"]
         summary = json.loads(lines[-1])["summary"]
-        assert np.isnan(scores[1]) and np.isfinite([scores[0], scores[2]]).all()
+        assert scores[1] is None and np.isfinite([scores[0], scores[2]]).all()
         assert summary["failed_splits"] == 1
         # mean squared errors of the scored splits only; no 0.5 stands in
         assert summary["mean"] == pytest.approx((scores[0] + scores[2]) / 2)
@@ -370,6 +388,30 @@ class TestThreadedEvaluate:
         assert [m.split(":")[0] for m in skipped] == [
             f"{name}.csv split {s} skipped" for name in ("b_tiny", "d_tiny")
             for s in range(3)]
+
+    def test_report_is_strict_json_without_warnings(self, run_dir, tmp_path, capsys,
+                                                   caplog, monkeypatch):
+        _, _, out = run_dir
+        suite = evaluation_suite(tmp_path / "suite")
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, table, _ = self.evaluate(monkeypatch, capsys, caplog, 2,
+                                             out / "checkpoint.npz", suite,
+                                             tmp_path / "report.ndjson")
+        records = [json.loads(line, parse_constant=refuse)
+                   for line in report.decode().splitlines()]
+        by_name = {r["dataset"]: r for r in records[:-1]}
+        for name in ("b_tiny", "d_tiny"):
+            assert by_name[name]["scores"] == [None] * 3
+            assert by_name[name]["mean"] is None and by_name[name]["std"] is None
+        for name in ("a", "c"):
+            assert np.isfinite([*by_name[name]["scores"], by_name[name]["mean"],
+                                by_name[name]["std"]]).all()
+        assert re.search(r"\nb_tiny +classification +nan +nan\n", table)
 
     def test_decode_threads_nested_in_evaluate_threads(
             self, run_dir, tmp_path, capsys, caplog, monkeypatch):

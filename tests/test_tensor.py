@@ -1,4 +1,6 @@
+import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +370,47 @@ class TestInPlaceSoftmax:
             want = e / e.sum(axis=axis, keepdims=True)
             got = T.softmax(T.Tensor(x, dtype=dtype), axis=axis).data
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestGelu:
+    """T.gelu is the tanh form; criterion 1 and TestGradOracle check its
+    backward against finite differences."""
+
+    @staticmethod
+    def value_and_grad(x, dtype):
+        t = T.Tensor(np.asarray(x, dtype=dtype), dtype=dtype, requires_grad=True)
+        with T.Tape() as tape:
+            out = T.gelu(t)
+            tape.backward(T.sum_(out))
+        return out.data, t.grad
+
+    def test_tanh_closed_form_and_distance_to_exact(self):
+        x = np.linspace(-8.0, 8.0, 16001)
+        got = T.gelu(T.Tensor(x)).data
+        closed = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                          * (x + 0.044715 * x ** 3)))
+        np.testing.assert_allclose(got, closed, rtol=1e-15, atol=1e-15)
+        exact = np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+        assert np.abs(got - exact).max() <= 4.8e-4
+
+    def test_float32_stays_float32(self):
+        x = rng_for(6000).standard_normal((4, 7)).astype(np.float32)
+        out, grad = self.value_and_grad(x, np.float32)
+        assert out.dtype == np.float32 and grad.dtype == np.float32
+        want, want_grad = self.value_and_grad(x, np.float64)
+        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 1e20), (np.float64, 1e200)])
+    def test_finite_where_the_cube_overflows(self, dtype, big):
+        x = [big, -big, np.finfo(dtype).max, -np.finfo(dtype).max, 30.0, -30.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, grad = self.value_and_grad(x, dtype)
+        assert np.isfinite(out).all() and np.isfinite(grad).all()
+        # gelu(x) -> x, gelu'(x) -> 1 as x -> inf; both -> 0 as x -> -inf
+        np.testing.assert_array_equal(out, np.array(x, dtype=dtype) * [1, 0, 1, 0, 1, 0, 0])
+        np.testing.assert_array_equal(grad, [1, 0, 1, 0, 1, 0, 0.5])
 
 
 class TestScatterRouting:
