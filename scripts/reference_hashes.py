@@ -33,10 +33,20 @@ decode chunks and a partial one, the only lines that decode more than one
 chunk. Last, `infer.predict` called directly on the float32 desk checkpoint
 with a generated API_CONTEXT_ROWS-row context (`Dataset.take`) and
 API_TEST_ROWS bare test rows, neither split with a missing mask, the only
-lines that do not pass through CSV ingest. Only long-standing names are used
-(`cli.main`, `export_csv`, `pretrain`, `generate_dataset`, `infer.BATCH_CAP`,
-`infer.predict`, `Model.load`, `Model.checksum`, `Dataset.take`), so one
-command covers both trees of a refactor.
+lines that do not pass through CSV ingest.
+
+The last six lines cover resume, agent resets and the dense head. The mixed
+agent run is repeated with a reset every RESET_PERIOD steps (checkpoint and
+NDJSON log), then once more cut after RESUME_AFTER_STEPS steps and resumed
+from its own checkpoint into the same files; both pairs of lines match the
+uninterrupted run's. Then the criterion-12 CLI config with `head: dense`
+(checkpoint) and a CLI `predict` of a 3-feature classification table with
+it. These checkpoints have no `_params` line.
+
+Only long-standing names are used (`cli.main`, `export_csv`, `pretrain`,
+`generate_dataset`, `infer.BATCH_CAP`, `infer.predict`, `Model.load`,
+`Model.checksum`, `Dataset.take`), so one command covers both trees of a
+refactor.
 """
 
 import argparse
@@ -58,6 +68,8 @@ CLI_CONFIG = (
 DESK_STEPS = 12
 MIXED_STEPS = 12
 MIXED_BATCH = 8
+RESET_PERIOD = 3
+RESUME_AFTER_STEPS = 5
 
 PREDICT_TRAIN_ROWS = 60
 LARGE_CONTEXT_ROWS = 1000
@@ -208,6 +220,38 @@ def params_line(name: str, checkpoint: Path) -> str:
     return f"{name + '_params':<34} {Model.load(checkpoint)[0].checksum()}"
 
 
+def resume_hashes(work: Path, train, model, space) -> None:
+    """The mixed agent run with scheduled resets, uninterrupted and then cut
+    and resumed: the checkpoint and NDJSON log of each."""
+    from priorfit.agents import AgentConfig
+    from priorfit.train import pretrain
+    agent = AgentConfig(fraction=0.25, reset_period=RESET_PERIOD)
+    pretrain(train, model, space, agent, checkpoint_path=work / "resets.npz",
+             log_path=work / "resets.ndjson")
+    cut = dict(checkpoint_path=work / "resumed.npz", log_path=work / "resumed.ndjson")
+    pretrain(train, model, space, agent, stop_after_steps=RESUME_AFTER_STEPS, **cut)
+    pretrain(train, model, space, agent, resume_from=cut["checkpoint_path"], **cut)
+    for arm in ("resets", "resumed"):
+        print(f"{arm + '_checkpoint':<34} {sha256(work / f'{arm}.npz')}")
+        print(f"{arm + '_log':<34} {sha256(work / f'{arm}.ndjson')}")
+
+
+def dense_head_hashes(work: Path) -> None:
+    """The criterion-12 CLI config with the dense head: its checkpoint and
+    one classification `predict`."""
+    import yaml
+    cfg = yaml.safe_load(CLI_CONFIG)
+    cfg["model"]["head"] = "dense"
+    cfg_path = work / "dense-head.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    quiet_cli(["pretrain", "--config", str(cfg_path), "--outdir", str(work / "dense-head")])
+    checkpoint = work / "dense-head" / "checkpoint.npz"
+    print(f"{'dense_head_cli':<34} {sha256(checkpoint)}")
+    split_table(work, True, 3)
+    quiet_cli(predict_argv(work, checkpoint))
+    print(f"{'predict_dense_head_class_d3':<34} {sha256(work / 'predictions.csv')}")
+
+
 def main(src: Path) -> int:
     sys.path.insert(0, str(src.resolve()))
     from priorfit.agents import AgentConfig
@@ -290,6 +334,9 @@ def main(src: Path) -> int:
         for classification in (True, False):
             label = f"predict_api_{'class' if classification else 'regr'}_d3"
             print(f"{label:<34} {api_prediction_hash(work / 'desk.npz', classification)}")
+
+        resume_hashes(work, train, model, space)
+        dense_head_hashes(work)
     return 0
 
 

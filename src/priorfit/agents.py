@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import tensor as T
 from .tensor import Tensor
 from .prior import GeneratorHyperSpace, sample_generator
 from .seeding import NS_AGENT_RESET, derive_seed
@@ -70,8 +69,11 @@ class AgentState:
     def _sample(self):
         seed = derive_seed(self.run_seed, NS_AGENT_RESET, self.slot, self.reset_count)
         g = sample_generator(self.space, seed)
-        g.set_requires_grad(True)
-        g.set_temperature(self.cfg.temperature)
+        for p in g.parameters():
+            p.requires_grad = True
+        for spec in (*g.feature_specs.values(), g.response_spec):
+            if spec is not None:
+                spec.temperature = self.cfg.temperature
         return g
 
     def parameters(self) -> list[Tensor]:
@@ -106,12 +108,16 @@ def make_agents(m: int, space: GeneratorHyperSpace, run_seed: int,
 
 
 def ascend_or_reset(agent: AgentState) -> bool:
-    """Climb the populated gradients, or reset the agent when they are
-    missing or non-finite. Returns True when the ascent step was taken."""
-    grads_ok = all(p.grad is not None and np.isfinite(p.grad).all()
-                   for p in agent.parameters())
-    if grads_ok:
-        T.ascend_step(agent.parameters(), agent.cfg.lr, agent.cfg.weight_decay)
+    """Climb the populated gradients, p += lr * grad and then the decoupled
+    decay, or reset the agent when they are missing or non-finite. Returns
+    True when the ascent step was taken."""
+    params = agent.parameters()
+    if all(p.grad is not None and np.isfinite(p.grad).all() for p in params):
+        lr, decay = agent.cfg.lr, agent.cfg.weight_decay
+        for p in params:
+            p.data = p.data + lr * p.grad
+            if decay:
+                p.data = p.data * (1.0 - lr * decay)
         return True
     log.warning("agent %d: non-finite or missing gradients", agent.slot)
     agent.reset(reason="nan-gradients")

@@ -102,7 +102,13 @@ def _split_score(model, ds, rng, seed) -> float:
     return mse(pred.mu, test.y_values.data)
 
 
+def _refuse_below(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ValueError(f"{flag} must be at least {minimum}, got {value}")
+
+
 def _cmd_evaluate(args) -> int:
+    _refuse_below("--splits", args.splits, 1)
     model, _, _ = Model.load(args.checkpoint)
     suite = sorted(Path(args.suite).glob("*.csv"))
     if not suite:
@@ -157,6 +163,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze_prior(args) -> int:
+    _refuse_below("--datasets", args.datasets, 1)
+    _refuse_below("--rows", args.rows, 4)  # generate_dataset's minimum
     cfg = load_run_config(args.config)
     if args.checkpoint:
         model, _, _ = Model.load(args.checkpoint)

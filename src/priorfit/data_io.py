@@ -117,8 +117,9 @@ def read_table(path) -> dict[str, list[str]]:
     padded with blank cells. Columns are keyed by name downstream, so a
     repeated name is refused rather than letting one column shadow another.
     A row with more cells than the header (an unquoted comma, say) is refused
-    rather than cut, which would shift every later column."""
-    with open(path, newline="") as fh:
+    rather than cut, which would shift every later column. The file is read
+    as UTF-8 in any locale, a leading byte-order mark dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -103,14 +103,9 @@ def batch_rows(n: int, rng: np.random.Generator) -> list:
     return [order[s:s + BATCH_CAP] for s in range(0, n, BATCH_CAP)]
 
 
-def subsample_features(d: int, rng: Optional[np.random.Generator] = None
-                       ) -> np.ndarray:
-    """Sorted indices of FEATURE_BUDGET of the d columns, drawn uniformly
-    without replacement; all columns when d is within budget."""
-    if d <= FEATURE_BUDGET:
-        return np.arange(d)
-    if rng is None:
-        raise ValueError("subsampling above the budget needs a seeded generator")
+def subsample_features(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of FEATURE_BUDGET of the d > FEATURE_BUDGET columns,
+    drawn uniformly without replacement."""
     return np.sort(rng.choice(d, size=FEATURE_BUDGET, replace=False))
 
 

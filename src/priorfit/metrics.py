@@ -39,10 +39,9 @@ def roc_auc_ovo(probs: np.ndarray, labels: np.ndarray,
     """Mean over unordered class pairs of the pairwise AUC, each computed on
     the rows belonging to either class with both classes' probability scores.
 
-    `classes` names the probability columns (defaults to 0..C-1). Pairs with
-    an empty side, or a class without a probability column, are skipped; if
-    everything is skipped that is an error. The binary case reduces to the
-    standard AUC.
+    `classes` names the probability columns (defaults to 0..C-1). A pair
+    with a class without a probability column is skipped; if every pair is
+    skipped that is an error. The binary case reduces to the standard AUC.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -60,8 +59,6 @@ def roc_auc_ovo(probs: np.ndarray, labels: np.ndarray,
                 log.warning("skipping pair (%s, %s): no probability column", a, b)
                 continue
             rows = (labels == a) | (labels == b)
-            if not (labels[rows] == a).any() or not (labels[rows] == b).any():
-                continue
             auc_a = binary_auc(probs[rows, col[a]], labels[rows] == a)
             auc_b = binary_auc(probs[rows, col[b]], labels[rows] == b)
             pair_aucs.append(0.5 * (auc_a + auc_b))

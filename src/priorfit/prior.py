@@ -133,16 +133,6 @@ class GeneratorInstance:
     def parameters(self) -> list[Tensor]:
         return list(self.weights) + list(self.biases)
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for p in self.parameters():
-            p.requires_grad = flag
-
-    def set_temperature(self, tau: float) -> None:
-        for spec in self.feature_specs.values():
-            spec.temperature = tau
-        if self.response_spec is not None:
-            self.response_spec.temperature = tau
-
 
 def checked_mask(mask, shape: tuple, name: str) -> np.ndarray:
     """A missing-cell mask: bool, shaped like its feature block, all False
@@ -278,7 +268,7 @@ def _mlp_readout(g: GeneratorInstance, inputs: np.ndarray,
         layer_outs.append(z)
     neurons = T.concat(layer_outs, axis=1)
     x_raw = T.take(neurons, g.predictor_neurons, axis=1)
-    y_raw = T.reshape(T.take(neurons, np.array([g.response_neuron]), axis=1), (-1,))
+    y_raw = neurons[:, g.response_neuron]
     return x_raw, y_raw
 
 
@@ -368,7 +358,7 @@ def generate_dataset(g: GeneratorInstance, n: int, seed: int,
         if g.feature_specs:
             cols = []
             for j in range(g.feature_count):
-                cj = T.reshape(x_raw[:, j], (-1,))
+                cj = x_raw[:, j]
                 spec = g.feature_specs.get(j)
                 if spec is None:
                     cols.append(cj)

@@ -79,10 +79,6 @@ class GradientNaN(TensorError):
         super().__init__(f"non-finite gradient produced by '{op}'")
 
 
-class MissingGradient(TensorError):
-    pass
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_producer")
 
@@ -567,8 +563,6 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
 
     def backward(g):
         gwo = (np.swapaxes(ctx, -1, -2) @ g).sum(axis=0) if wo.requires_grad else None
-        if not any(t.requires_grad for t in parents[:4]):
-            return None, None, None, None, gwo
         gctx = split(g @ np.swapaxes(wo.data, -1, -2))
         gs = _inplace(np.multiply, _softmax_grad(gctx @ np.swapaxes(v, -1, -2), probs, -1),
                       scale)
@@ -702,23 +696,9 @@ def scatter_add(values, indices, num_segments: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameter updates
+# gradients
 
 
 def zero_grads(params) -> None:
     for p in params:
         p.grad = None
-
-
-def ascend_step(params, lr: float, weight_decay: float = 0.0) -> None:
-    """Sign-flipped update: p += lr * grad, then decay by (1 - lr * weight_decay).
-
-    Used for adversarial generators, which climb the same gradients the model
-    descends, in the same backward pass.
-    """
-    for p in params:
-        if p.grad is None:
-            raise MissingGradient("ascend_step: parameter has no gradient")
-        p.data = p.data + lr * p.grad
-        if weight_decay:
-            p.data = p.data * (1.0 - lr * weight_decay)

@@ -284,15 +284,13 @@ def train_step(model: Model, agents: list[AgentState], cfg: TrainConfig,
         skipped = True
         # str: a record kept by a handler must not keep the sweep's frames
         log.warning("step %d skipped: %s", step, str(err))
-        T.zero_grads(_all_params(model, agents))
         for agent in agents:
             agent.reset(reason="nan-gradients")
-
-    if not skipped:
+    else:
         adam.step(model.params, cfg.model_lr)
         for agent in agents:
             ascend_or_reset(agent)
-        T.zero_grads(_all_params(model, agents))
+    T.zero_grads(_all_params(model, agents))
 
     resets = sum(1 for a in agents if a.maybe_reset())
     return {"step": step, "nll": step_nll, "n": n, "l": l,

@@ -5,14 +5,16 @@ The desk-scale pretraining fixture (criterion 7) is shared with criteria 5
 and 8; it runs once per session.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from priorfit import infer, tensor as T
 from priorfit.tensor import Tensor
-from priorfit.agents import AgentConfig, AgentState
+from priorfit.agents import AgentConfig, AgentState, ascend_or_reset
 from priorfit.cli import main
 from priorfit.diversity import (build_adversarial_collection, histogram_density,
                                 kl_divergence, ordinary_collection)
@@ -328,7 +330,7 @@ class TestCriterion3Directionality:
                     tape.backward(loss)
             except RuntimeError:
                 continue
-            T.ascend_step(agent.parameters(), 1e-3)
+            assert ascend_or_reset(agent)
             T.zero_grads(model.parameters() + agent.parameters())
             after = frozen_nll().item()
             trials += 1
@@ -619,7 +621,24 @@ class TestCriterion11ZeroUpdate:
 # 12. reproducibility
 
 
+CRITERION12_CLI_CONFIG = (
+    "train: {model_lr: 0.001, datasets_per_step: 4, total_datasets: 8, "
+    "rows: [16, 20], seed: 5, eval_every: 2}\n"
+    "model: {d_model: 16, n_blocks: 1, n_heads: 2, d_ff: 24, feature_width: 3}\n"
+    "space: {feature_count: [2, 3], hidden_width: [6, 8], "
+    "layer_count: [2, 2], categorical_fraction: [0.0, 0.0]}\n")
+
+
 class TestCriterion12Reproducibility:
+    def test_cli_config_is_the_reference_hashes_config(self):
+        # the golden criterion12_cli lines hash this criterion's checkpoint
+        # only while scripts/reference_hashes.py pre-trains the same text
+        path = Path(__file__).resolve().parent.parent / "scripts" / "reference_hashes.py"
+        spec = importlib.util.spec_from_file_location("reference_hashes", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.CLI_CONFIG == CRITERION12_CLI_CONFIG
+
     def test_resume_and_bit_stable_outputs(self, tmp_path):
         space = GeneratorHyperSpace(feature_count=(2, 3), hidden_width=(6, 10),
                                     layer_count=(2, 2),
@@ -642,14 +661,8 @@ class TestCriterion12Reproducibility:
         params_ok = resumed_model.checksum() == full_model.checksum()
 
         # CLI outputs bit-stable under a fixed seed
-        cfg_text = (
-            "train: {model_lr: 0.001, datasets_per_step: 4, total_datasets: 8, "
-            "rows: [16, 20], seed: 5, eval_every: 2}\n"
-            "model: {d_model: 16, n_blocks: 1, n_heads: 2, d_ff: 24, feature_width: 3}\n"
-            "space: {feature_count: [2, 3], hidden_width: [6, 8], "
-            "layer_count: [2, 2], categorical_fraction: [0.0, 0.0]}\n")
         cfg_path = tmp_path / "cli.yaml"
-        cfg_path.write_text(cfg_text)
+        cfg_path.write_text(CRITERION12_CLI_CONFIG)
         blobs = []
         for arm in ("a", "b"):
             outdir = tmp_path / f"cli-{arm}"

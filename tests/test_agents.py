@@ -169,6 +169,68 @@ class TestGradientFlow:
         T.zero_grads(model.parameters())
 
 
+class TestAscentStep:
+    """ascend_or_reset's step on every agent parameter: p += lr * grad, then
+    the decoupled decay by (1 - lr * weight_decay)."""
+
+    @staticmethod
+    def agent_at(value, grad, lr, weight_decay=0.0):
+        agent = AgentState(AgentConfig(lr=lr, weight_decay=weight_decay), SPACE,
+                           run_seed=5, slot=0)
+        for p in agent.parameters():
+            p.data = np.full_like(p.data, value)
+            p.grad = np.full_like(p.data, grad)
+        return agent
+
+    def test_single_step(self):
+        agent = self.agent_at(1.0, 2.0, lr=0.1)
+        assert ascend_or_reset(agent)
+        for p in agent.parameters():
+            np.testing.assert_allclose(p.data, 1.2)
+
+    def test_decay_only(self):
+        agent = self.agent_at(1.0, 0.0, lr=0.1, weight_decay=0.5)
+        assert ascend_or_reset(agent)
+        for p in agent.parameters():
+            np.testing.assert_allclose(p.data, 0.95)
+
+    def test_ascent_negates_descent_exactly(self):
+        rng = np.random.default_rng(8)
+        agent = self.agent_at(0.0, 0.0, lr=0.3)
+        for p in agent.parameters():
+            p.grad = rng.standard_normal(p.data.shape)
+        assert ascend_or_reset(agent)
+        for p in agent.parameters():
+            np.testing.assert_array_equal(p.data, -(np.zeros_like(p.data) - 0.3 * p.grad))
+
+    def test_joint_ascent_descent_one_backward(self):
+        # one backward, two opposite step directions, both finite; each
+        # matches the gradients of a separate backward pass
+        def backward_once():
+            model = tiny_model(seed=12)
+            agent = AgentState(AgentConfig(lr=0.05, weight_decay=0.0), SPACE,
+                               run_seed=12, slot=0)
+            with T.Tape() as tape:
+                ds, l = adversarial_episode(agent, model, n=16, seed=12)
+                tape.backward(_forward_episode_losses(model, [ds], l, None))
+            return model, agent
+
+        model, agent = backward_once()
+        ref_model, ref_agent = backward_once()
+        assert ascend_or_reset(agent)
+        for p in model.parameters():
+            if p.grad is not None:
+                p.data = p.data - 0.05 * p.grad
+        assert any(np.abs(p.grad).max() > 0 for p in ref_agent.parameters())
+        for p, ref in zip(agent.parameters(), ref_agent.parameters()):
+            assert np.isfinite(p.data).all()
+            np.testing.assert_allclose(p.data, ref.data + 0.05 * ref.grad)
+        for p, ref in zip(model.parameters(), ref_model.parameters()):
+            if ref.grad is not None:
+                assert np.isfinite(p.data).all()
+                np.testing.assert_allclose(p.data, ref.data - 0.05 * ref.grad)
+
+
 class TestJointUpdate:
     """One backward pass drives both updates, as in train_step: Adam descent
     on the model, sign-flipped ascent on the agent."""
@@ -224,7 +286,7 @@ class TestJointUpdate:
             loss = frozen_nll()
             before = loss.item()
             tape.backward(loss)
-        T.ascend_step(agent.parameters(), cfg.lr)
+        assert ascend_or_reset(agent)
         T.zero_grads(model.parameters() + agent.parameters())
         after = frozen_nll().item()
         assert after >= before - 1e-6

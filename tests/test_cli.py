@@ -461,6 +461,25 @@ class TestSplitScore:
         assert calls == []
 
 
+class TestCountFlags:
+    """A count flag below its minimum is refused by name before the config or
+    checkpoint loads; neither file exists here."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--suite", "suite", "--splits", "0"],
+         "--splits must be at least 1, got 0"),
+        (["analyze-prior", "--config", "run.yaml", "--datasets", "0"],
+         "--datasets must be at least 1, got 0"),
+        (["analyze-prior", "--config", "run.yaml", "--datasets", "2", "--rows", "3"],
+         "--rows must be at least 4, got 3"),
+    ])
+    def test_refused_by_name(self, tmp_path, capsys, argv, message):
+        rc = main(argv + ["--checkpoint", str(tmp_path / "nope.npz")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 class TestAnalyzePriorCommand:
     def test_writes_report_and_grids(self, run_dir, tmp_path):
         _, cfg_path, out = run_dir

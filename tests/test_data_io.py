@@ -207,6 +207,35 @@ class TestSchemaReuse:
             ingest_features_with_schema(test, schemas)
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as Excel's "CSV UTF-8" export writes it, is
+    not part of the first header name."""
+
+    @staticmethod
+    def write_bom(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return path
+
+    def test_bom_train_file_with_plain_test_file(self, tmp_path):
+        rows = "a,b,y\n1,2,0\n2,3,1\n3,1,0\n4,5,1\n"
+        plain, plain_schemas = ingest_csv(write(tmp_path, "plain.csv", rows), "y")
+        ds, schemas = ingest_csv(self.write_bom(tmp_path, "train.csv", rows), "y")
+        assert [s.name for s in schemas] == ["a", "b", "y"] == [s.name for s in plain_schemas]
+        np.testing.assert_array_equal(ds.X.data, plain.X.data)
+        test = write(tmp_path, "test.csv", "a,b\n1,2\n4,3\n")
+        x, missing = ingest_features_with_schema(test, schemas)
+        np.testing.assert_array_equal(x, ingest_features_with_schema(test, plain_schemas)[0])
+        assert not missing.any()
+
+    def test_bom_file_whose_first_column_is_the_target(self, tmp_path):
+        rows = "y,a,b\n0,1,2\n1,2,3\n0,3,1\n1,4,5\n"
+        plain, _ = ingest_csv(write(tmp_path, "plain.csv", rows), "y")
+        ds, _ = ingest_csv(self.write_bom(tmp_path, "train.csv", rows), "y")
+        np.testing.assert_array_equal(ds.y_labels, plain.y_labels)
+        np.testing.assert_array_equal(ds.X.data, plain.X.data)
+
+
 class TestDatasetContainer:
     def synthetic(self, seed=3):
         space = GeneratorHyperSpace(categorical_fraction=(0.4, 0.4))

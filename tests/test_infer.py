@@ -160,12 +160,6 @@ class TestNormalizeTrainTest:
 
 
 class TestSubsampleFeatures:
-    def test_identity_at_budget(self):
-        x = np.arange(2.0 * infer.FEATURE_BUDGET).reshape(2, -1)
-        idx = subsample_features(x.shape[1])
-        np.testing.assert_array_equal(x[:, idx], x)
-        np.testing.assert_array_equal(idx, np.arange(infer.FEATURE_BUDGET))
-
     def test_above_budget_selects_distinct(self):
         rng = np.random.default_rng(0)
         x = np.zeros((3, 150))
@@ -177,10 +171,6 @@ class TestSubsampleFeatures:
         a = subsample_features(150, np.random.default_rng(7))
         b = subsample_features(150, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
-
-    def test_needs_rng_above_budget(self):
-        with pytest.raises(ValueError):
-            subsample_features(150)
 
 
 class TestPredict:

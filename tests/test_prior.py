@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from priorfit import tensor as T
+from priorfit.agents import AgentConfig, AgentState
 from priorfit.prior import (
     CLASSIFICATION,
     REGRESSION,
@@ -334,9 +335,7 @@ class TestGenerateDataset:
 
     def test_soft_mode_connects_to_weights(self):
         space = GeneratorHyperSpace(categorical_fraction=(0.5, 0.5))
-        g = sample_generator(space, 13)
-        g.set_requires_grad(True)
-        g.set_temperature(0.01)
+        g = AgentState(AgentConfig(temperature=0.01), space, run_seed=13, slot=0).generator
         with T.Tape() as tape:
             ds = generate_dataset(g, 24, seed=1, soft=True)
             loss = T.mean(T.mul(ds.X, ds.X))

@@ -430,59 +430,6 @@ class TestScatterRouting:
         np.testing.assert_array_equal(v.grad, weights[0, idx])
 
 
-class TestUpdateSteps:
-    def test_ascend_single_step(self):
-        p = T.Tensor([1.0], requires_grad=True)
-        p.grad = np.array([2.0])
-        T.ascend_step([p], lr=0.1, weight_decay=0.0)
-        np.testing.assert_allclose(p.data, [1.2])
-
-    def test_ascend_decay_only(self):
-        p = T.Tensor([1.0], requires_grad=True)
-        p.grad = np.array([0.0])
-        T.ascend_step([p], lr=0.1, weight_decay=0.5)
-        np.testing.assert_allclose(p.data, [0.95])
-
-    def test_missing_gradient_raises(self):
-        p = T.Tensor([1.0], requires_grad=True)
-        with pytest.raises(T.MissingGradient):
-            T.ascend_step([p], lr=0.1)
-
-    def test_joint_ascent_descent_one_backward(self):
-        # one backward, two opposite step directions, both finite; matches
-        # running two separate backward passes
-        rng = rng_for(7)
-        w1 = rng.standard_normal((3, 3))
-        w2 = rng.standard_normal((3, 1))
-        x = rng.standard_normal((4, 3))
-
-        def run(joint):
-            a = T.Tensor(w1.copy(), requires_grad=True)
-            b = T.Tensor(w2.copy(), requires_grad=True)
-            with T.Tape() as tape:
-                h = T.tanh(T.matmul(T.Tensor(x), a))
-                loss = T.mean(T.mul(T.matmul(h, b), T.matmul(h, b)))
-                tape.backward(loss)
-            if joint:
-                T.ascend_step([a], lr=0.05)
-                b.data = b.data - 0.05 * b.grad
-            return a, b
-
-        a1, b1 = run(joint=True)
-        a2, b2 = run(joint=False)
-        assert np.isfinite(a1.data).all() and np.isfinite(b1.data).all()
-        np.testing.assert_allclose(a1.data, w1 + 0.05 * a2.grad)
-        np.testing.assert_allclose(b1.data, w2 - 0.05 * b2.grad)
-
-    def test_ascent_negates_descent_exactly(self):
-        rng = rng_for(8)
-        g = rng.standard_normal(5)
-        pa = T.Tensor(np.zeros(5), requires_grad=True)
-        pa.grad = g.copy()
-        T.ascend_step([pa], lr=0.3)
-        np.testing.assert_array_equal(pa.data, -(np.zeros(5) - 0.3 * g))
-
-
 class TestCompositeGraphs:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_mlp_against_finite_differences(self, seed):
