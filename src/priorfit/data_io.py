@@ -114,7 +114,8 @@ def _warn_unparseable(path, name: str, count: int) -> None:
 
 def read_table(path) -> dict[str, list[str]]:
     """The file's cells keyed by header name, in header order, short rows
-    padded with blank cells. Columns are keyed by name downstream, so a
+    padded with blank cells and blank lines skipped, as pandas does; a file
+    with no data rows is refused. Columns are keyed by name downstream, so a
     repeated name is refused rather than letting one column shadow another.
     A row with more cells than the header (an unquoted comma, say) is refused
     rather than cut, which would shift every later column. The file is read
@@ -128,6 +129,8 @@ def read_table(path) -> dict[str, list[str]]:
         columns = [[] for _ in header]
         appends = [col.append for col in columns]
         for row in reader:
+            if not row:
+                continue
             if len(row) != width:
                 if len(row) > width:
                     raise ValueError(f"{path}: line {reader.line_num} has "
@@ -138,6 +141,8 @@ def read_table(path) -> dict[str, list[str]]:
     repeated = sorted(name for name, k in Counter(header).items() if k > 1)
     if repeated:
         raise ValueError(f"{path}: duplicate column names {repeated}")
+    if not any(columns):
+        raise ValueError(f"{path}: no data rows")
     return dict(zip(header, columns))
 
 
@@ -155,8 +160,6 @@ def ingest_csv(path, target: Optional[str] = None,
     target = list(columns)[-1] if target is None else target
     if target not in columns:
         raise ValueError(f"{path}: target column '{target}' not found")
-    if not columns[target]:
-        raise ValueError(f"{path}: no data rows")
 
     schemas: list[ColumnSchema] = []
     feature_cols: list[np.ndarray] = []

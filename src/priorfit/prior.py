@@ -267,7 +267,7 @@ def _mlp_readout(g: GeneratorInstance, inputs: np.ndarray,
             z = T.add(z, Tensor(scale * eps))
         layer_outs.append(z)
     neurons = T.concat(layer_outs, axis=1)
-    x_raw = T.take(neurons, g.predictor_neurons, axis=1)
+    x_raw = neurons[:, g.predictor_neurons]
     y_raw = neurons[:, g.response_neuron]
     return x_raw, y_raw
 
@@ -306,12 +306,12 @@ def soft_discretize(col: Tensor, spec: DiscretizerSpec) -> Tensor:
     sd = T.sqrt(T.add(T.variance(col), _STD_GUARD))
     q_tilde = T.add(mu, T.mul(sd, Tensor(spec.quantiles)))
     brackets = T.concat([
-        T.reshape(T.min_(col), (1,)),
+        col[[int(np.argmin(col.data))]],
         q_tilde,
-        T.reshape(T.max_(col), (1,)),
+        col[[int(np.argmax(col.data))]],
     ], axis=0)
-    lower = T.take(brackets, pos - 1, axis=0)
-    upper = T.take(brackets, pos, axis=0)
+    lower = brackets[pos - 1]
+    upper = brackets[pos]
     ratio = T.div(T.sub(col, lower), T.add(T.sub(upper, lower), _RATIO_GUARD))
     return T.add(Tensor(base), T.mul(spec.temperature, T.log1p(ratio)))
 

@@ -2,9 +2,11 @@
 
 Everything runs on numpy arrays. Every op is a module function (`add`,
 `matmul`, `sum_`, ...); only indexing has operator syntax (`t[key]` is
-`slice_`). Ops record onto an explicit tape (a context manager); nothing is
-recorded unless a tape is active and at least one input requires grad, so
-inference is plain numpy with zero autodiff overhead.
+`slice_`), and it is the one gather: it takes any numpy key, and the
+gradient of a repeated advanced index accumulates. Ops record onto an
+explicit tape (a context manager); nothing is recorded unless a tape is
+active and at least one input requires grad, so inference is plain numpy
+with zero autodiff overhead.
 
 Shape rules are deliberately narrow: elementwise ops accept equal shapes,
 0-d scalars, or a right-aligned suffix operand (bias style, broadcast over
@@ -281,13 +283,9 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         ga = gb = None
         if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            if ga.shape != sa:
-                ga = ga.sum(axis=tuple(range(ga.ndim - len(sa))))
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa)
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            if gb.shape != sb:
-                gb = gb.sum(axis=tuple(range(gb.ndim - len(sb))))
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, sb)
         return ga, gb
 
     return _record("matmul", out, (a, b), backward)
@@ -430,27 +428,6 @@ def variance(a, axis=None) -> Tensor:
         return (gg * 2.0 * (a.data - mu) / n,)
 
     return _record("variance", np.asarray(out), (a,), backward)
-
-
-def _extremum(name, a, np_fn, np_arg_fn):
-    a = _as_tensor(a)
-
-    def backward(g):
-        z = np.zeros_like(a.data)
-        z[np.unravel_index(np_arg_fn(a.data), a.shape)] = g
-        return (z,)
-
-    return _record(name, np.asarray(np_fn(a.data)), (a,), backward)
-
-
-def min_(a) -> Tensor:
-    """Minimum over all elements; subgradient routes to the first minimal element."""
-    return _extremum("min", a, np.min, np.argmin)
-
-
-def max_(a) -> Tensor:
-    """Maximum over all elements; subgradient routes to the first maximal element."""
-    return _extremum("max", a, np.max, np.argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +585,24 @@ def permute(a, axes) -> Tensor:
 
 
 def slice_(a, key) -> Tensor:
+    """a[key] for any numpy key; the engine's one gather. A basic key (ints,
+    slices, Ellipsis, None) gives a view. A key with an array or list part is
+    advanced: it gives a C-ordered copy, and repeated indices accumulate in
+    the backward."""
     a = _as_tensor(a)
-    out = a.data[key]
+    advanced = any(isinstance(k, (list, np.ndarray))
+                   for k in (key if isinstance(key, tuple) else (key,)))
+    out = np.asarray(a.data[key], order="C" if advanced else "K")
 
     def backward(g):
         z = np.zeros_like(a.data)
-        z[key] = g
+        if advanced:
+            np.add.at(z, key, g)
+        else:
+            z[key] = g
         return (z,)
 
-    return _record("slice", np.asarray(out), (a,), backward)
+    return _record("slice", out, (a,), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -638,39 +624,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter
-
-
-def take(a, indices, axis: int = 0) -> Tensor:
-    """Select indices along one axis. Duplicate indices accumulate on backward."""
-    a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    out = np.take(a.data, idx, axis=axis)
-
-    def backward(g):
-        z = np.zeros_like(a.data)
-        zm = np.moveaxis(z, axis, 0)
-        gm = np.moveaxis(g, axis, 0)
-        np.add.at(zm, idx, gm)
-        return (z,)
-
-    return _record("take", out, (a,), backward)
-
-
-def take_along_last(a, indices) -> Tensor:
-    """Per-row gather on the last axis: out[...] = a[..., idx[...]]."""
-    a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.shape != a.shape[:-1]:
-        raise ShapeMismatch("take_along_last", a.shape, idx.shape)
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        z = np.zeros_like(a.data)
-        np.put_along_axis(z, idx[..., None], g[..., None], axis=-1)
-        return (z,)
-
-    return _record("take_along_last", np.asarray(out), (a,), backward)
+# scatter
 
 
 def scatter_add(values, indices, num_segments: int) -> Tensor:
@@ -686,11 +640,12 @@ def scatter_add(values, indices, num_segments: int) -> Tensor:
         raise ShapeMismatch("scatter_add", v.shape, idx.shape)
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= num_segments):
         raise ShapeMismatch("scatter_add(index out of range)", idx.shape, (num_segments,))
-    onehot = np.eye(num_segments, dtype=v.data.dtype)[idx]
-    out = np.einsum("b...k,bkc->b...c", v.data, onehot)
+    out = np.einsum("b...k,bkc->b...c", v.data,
+                    np.eye(num_segments, dtype=v.data.dtype)[idx])
 
     def backward(g):
-        return (np.einsum("b...c,bkc->b...k", g, onehot),)
+        gather = np.expand_dims(idx, tuple(range(1, g.ndim - 1)))  # (B, 1.., k)
+        return (np.take_along_axis(g, gather, axis=-1),)
 
     return _record("scatter_add", out, (v,), backward)
 

@@ -118,7 +118,8 @@ def nll_classification(probs: Tensor, test_idx: np.ndarray,
     Test rows whose label never appeared in the training context cannot be
     emitted by the mixture head; they contribute -log(epsilon).
     """
-    p_true = T.take_along_last(probs, test_idx)
+    B, q = probs.shape[:2]
+    p_true = probs[np.arange(B)[:, None], np.arange(q), test_idx]
     mask = valid.astype(np.float64)
     p_eff = T.add(T.mul(p_true, Tensor(mask)), Tensor((1.0 - mask) * NLL_EPSILON))
     return T.neg(T.mean(T.log(p_eff), axis=-1))

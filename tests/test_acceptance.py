@@ -6,6 +6,7 @@ and 8; it runs once per session.
 """
 
 import importlib.util
+import inspect
 import time
 from pathlib import Path
 
@@ -111,59 +112,89 @@ def desk_run():
 # ---------------------------------------------------------------------------
 # 1. gradient correctness
 
+# tensor's public functions that are not differentiable ops
+NOT_OPS = {"default_dtype", "dtype_scope", "zero_grads"}
+
+
+def primitive_cases(rng) -> dict[str, list]:
+    """Every differentiable primitive, keyed by its op name, with the
+    (op, input arrays) pairs checked against central finite differences.
+    Pointwise ops and reductions run on three random shapes of rank 1-3."""
+    normal = rng.standard_normal
+
+    def shaped(op, make):
+        cases = []
+        for _ in range(3):
+            rank = rng.integers(1, 4)
+            shape = tuple(int(v) for v in rng.integers(2, 5, size=rank))
+            cases.append((op, make(shape)))
+        return cases
+
+    def one(s):
+        return [normal(s)]
+
+    def two(s):
+        return [normal(s), normal(s)]
+
+    def attention(key_count):
+        return (lambda *a: T.attention(*a, 2, key_count)[0],
+                [normal((2, 4, 4))] + [normal((4, 4)) / 2.0 for _ in range(4)])
+
+    x3 = normal((3, 4, 5))
+    row_idx = rng.integers(0, 5, size=(3, 4))
+    distinct = rng.permutation(np.linspace(-2.0, 2.0, 12))  # one extremum each
+    sidx = rng.integers(0, 3, size=(2, 6))
+    return {
+        "add": shaped(T.add, two),
+        "sub": shaped(T.sub, two),
+        "mul": shaped(T.mul, two),
+        "div": shaped(lambda a, b: T.div(a, T.add(T.mul(b, b), 1.0)), two),
+        "neg": shaped(T.neg, one),
+        "log": shaped(T.log, lambda s: [rng.uniform(0.5, 3.0, s)]),
+        "log1p": shaped(T.log1p, lambda s: [rng.uniform(-0.7, 2.0, s)]),
+        "tanh": shaped(T.tanh, one),
+        "sigmoid": shaped(T.sigmoid, one),
+        "gelu": shaped(T.gelu, one),
+        "softplus": shaped(T.softplus, one),
+        "softmax": shaped(T.softmax, one),
+        "sqrt": shaped(lambda a: T.sqrt(T.add(T.mul(a, a), 0.3)), one),
+        "mean": shaped(lambda a: T.mean(a, axis=-1), one),
+        "variance": shaped(lambda a: T.variance(a, axis=-1), one),
+        "sum_": shaped(T.sum_, one),
+        "relu": shaped(lambda a: T.relu(T.add(a, 3.0)), lambda s: [rng.uniform(-1, 1, s)]),
+        "clip": shaped(lambda a: T.clip(a, -2.0, 2.0), lambda s: [rng.uniform(-1.5, 1.5, s)]),
+        "layer_norm": shaped(lambda a: T.layer_norm(a, Tensor(np.ones(a.shape[-1])),
+                                                    Tensor(np.zeros(a.shape[-1]))), one),
+        "reshape": [(lambda a: T.reshape(a, (12, 5)), [x3])],
+        "permute": [(lambda a: T.permute(a, (0, 2, 1)), [x3])],
+        "slice_": [
+            (lambda a: a[1:, :, 1:4], [x3]),
+            (lambda a: a[:, :, [1, 4, 1, 0, 1, 1]], [x3]),  # repeated index
+            (lambda a: a[np.arange(3)[:, None], np.arange(4), row_idx], [x3]),  # per row
+            (lambda a: a[[int(np.argmax(a.data))]], [distinct]),  # extremum
+        ],
+        "concat": [(lambda a, b: T.concat([a, b], axis=1), [x3, normal((3, 2, 5))])],
+        "stack": [(lambda a, b: T.stack([a, b], axis=2), [x3, normal((3, 4, 5))])],
+        "matmul": [(T.matmul, [normal((4, 3)), normal((3, 2))]),
+                   (T.matmul, [normal((2, 4, 3)), normal((3, 2))])],  # broadcast batch
+        "scatter_add": [(lambda a: T.scatter_add(a, sidx, 3), [normal((2, 4, 6))])],
+        "attention": [attention(4), attention(2)],
+    }
+
 
 class TestCriterion1Gradients:
+    def test_every_primitive_is_checked(self):
+        ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+               if fn.__module__ == T.__name__ and not name.startswith("_")}
+        assert set(primitive_cases(np.random.default_rng(0))) == ops - NOT_OPS
+
     def test_gradient_correctness(self):
         t0 = time.time()
         rng = np.random.default_rng(0)
         worst = 0.0
-
-        # every differentiable primitive against central finite differences
-        primitive_cases = [
-            (T.add, lambda r, s: [r.standard_normal(s)] * 2),
-            (T.sub, lambda r, s: [r.standard_normal(s)] * 2),
-            (T.mul, lambda r, s: [r.standard_normal(s)] * 2),
-            (lambda a, b: T.div(a, T.add(T.mul(b, b), 1.0)),
-             lambda r, s: [r.standard_normal(s)] * 2),
-            (T.log, lambda r, s: [r.uniform(0.5, 3.0, s)]),
-            (T.log1p, lambda r, s: [r.uniform(-0.7, 2.0, s)]),
-            (T.tanh, lambda r, s: [r.standard_normal(s)]),
-            (T.sigmoid, lambda r, s: [r.standard_normal(s)]),
-            (T.gelu, lambda r, s: [r.standard_normal(s)]),
-            (T.softplus, lambda r, s: [r.standard_normal(s)]),
-            (T.softmax, lambda r, s: [r.standard_normal(s)]),
-            (lambda a: T.sqrt(T.add(T.mul(a, a), 0.3)), lambda r, s: [r.standard_normal(s)]),
-            (lambda a: T.mean(a, axis=-1), lambda r, s: [r.standard_normal(s)]),
-            (lambda a: T.variance(a, axis=-1), lambda r, s: [r.standard_normal(s)]),
-            (lambda a: T.sum_(a), lambda r, s: [r.standard_normal(s)]),
-            (lambda a: T.relu(T.add(a, 3.0)), lambda r, s: [r.uniform(-1, 1, s)]),
-            (lambda a: T.clip(a, -2.0, 2.0), lambda r, s: [r.uniform(-1.5, 1.5, s)]),
-            (lambda a: T.layer_norm(a, Tensor(np.ones(a.shape[-1])),
-                                    Tensor(np.zeros(a.shape[-1]))),
-             lambda r, s: [r.standard_normal(s)]),
-        ]
-        for op, make in primitive_cases:
-            for _ in range(3):
-                rank = rng.integers(1, 4)
-                shape = tuple(int(v) for v in rng.integers(2, 5, size=rank))
-                worst = max(worst, check_op(op, make(rng, shape), rng))
-        # structural primitives
-        x3 = rng.standard_normal((3, 4, 5))
-        worst = max(worst, check_op(lambda a: T.reshape(a, (12, 5)), [x3], rng))
-        worst = max(worst, check_op(lambda a: T.permute(a, (0, 2, 1)), [x3], rng))
-        worst = max(worst, check_op(lambda a: a[1:, :, 1:4], [x3], rng))
-        worst = max(worst, check_op(
-            T.matmul, [rng.standard_normal((4, 3)), rng.standard_normal((3, 2))], rng))
-        idx = rng.integers(0, 5, size=6)
-        worst = max(worst, check_op(lambda a: T.take(a, idx, axis=2), [x3], rng))
-        sidx = rng.integers(0, 3, size=(2, 6))
-        worst = max(worst, check_op(
-            lambda a: T.scatter_add(a, sidx, 3), [rng.standard_normal((2, 4, 6))], rng))
-        for key_count in (4, 2):
-            worst = max(worst, check_op(
-                lambda *a: T.attention(*a, 2, key_count)[0],
-                [rng.standard_normal((2, 4, 4))]
-                + [rng.standard_normal((4, 4)) / 2.0 for _ in range(4)], rng))
+        for cases in primitive_cases(rng).values():
+            for op, arrays in cases:
+                worst = max(worst, check_op(op, arrays, rng))
 
         model_err, model_seeds = self._composite_model_path()
         agent_err, agent_seeds = self._composite_agent_path()

@@ -126,6 +126,22 @@ class TestIngest:
         with pytest.raises(ValueError, match=r"t\.csv: line 5 has 4 cells, the header 3"):
             ingest_csv(path, target="y")
 
+    def test_blank_lines_skipped(self, tmp_path):
+        # a blank line is no row: not a row of missing cells in the target,
+        # nor a phantom test row that predict would write out
+        train = write(tmp_path, "train.csv", "f,y\na,0\n\nb,1\n\n")
+        ds, schemas = ingest_csv(train, target="y")
+        np.testing.assert_array_equal(ds.y_labels, [0, 1])
+        test = write(tmp_path, "test.csv", "f\nb\n\na\n\n")
+        x, missing = ingest_features_with_schema(test, schemas)
+        np.testing.assert_array_equal(x[:, 0], [1.0, 0.0])
+        assert not missing.any()
+        # with no data rows left, either file is refused
+        with pytest.raises(ValueError, match="no data rows"):
+            ingest_csv(write(tmp_path, "empty.csv", "f,y\n\n"), target="y")
+        with pytest.raises(ValueError, match="no data rows"):
+            ingest_features_with_schema(write(tmp_path, "blank.csv", "f\n\n\n"), schemas)
+
 
 class TestIngestRules:
     def test_kind_counts_raw_unstripped_tokens(self, tmp_path):

@@ -959,9 +959,14 @@ class TestIngestToPredict:
                     ingest_csv(paths[0], "y", overrides)
                 return
             train, schemas = ingest_csv(paths[0], "y", overrides)
+            # a blank line (no cells, or one empty cell) is no row
+            n_lines = sum(1 for r in test_rows[1:] if ",".join(r))
+            if not n_lines:
+                with pytest.raises(ValueError, match="no data rows"):
+                    ingest_features_with_schema(paths[1], schemas)
+                return
             test_x, test_missing = ingest_features_with_schema(paths[1], schemas)
             out = predict(MODEL, train, test_x, test_missing, ensemble=ensemble)
-        n_lines = len(test_rows) - 1
         if regression:
             assert out.mu.shape == (n_lines,) and np.isfinite(out.mu).all()
         else:

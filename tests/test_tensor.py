@@ -304,10 +304,10 @@ class TestGradOracle:
     def test_gather_ops(self, seed):
         rng = rng_for(5400 + seed)
         x = rng.standard_normal((4, 6))
-        idx = rng.integers(0, 6, size=5)
-        check_op(lambda a: T.take(a, idx, axis=1), [x], rng)
+        idx = np.array([1, 4, 1, 0, 1])  # repeats accumulate
+        check_op(lambda a: a[:, idx], [x], rng)
         row_idx = rng.integers(0, 6, size=4)
-        check_op(lambda a: T.take_along_last(a, row_idx), [x], rng)
+        check_op(lambda a: a[np.arange(4), row_idx], [x], rng)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scatter_add_grad(self, seed):
@@ -328,9 +328,31 @@ class TestGradOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_min_max_unique_extrema(self, seed):
         rng = rng_for(5600 + seed)
-        x = rng.permutation(np.linspace(-2.0, 2.0, 12)).reshape(3, 4)
-        check_op(T.min_, [x], rng)
-        check_op(T.max_, [x], rng)
+        x = rng.permutation(np.linspace(-2.0, 2.0, 12))
+        check_op(lambda a: a[[int(np.argmin(a.data))]], [x], rng)
+        check_op(lambda a: a[[int(np.argmax(a.data))]], [x], rng)
+
+
+class TestIndexing:
+    def test_repeated_index_accumulates(self):
+        a = T.Tensor(np.arange(4.0), requires_grad=True)
+        with T.Tape() as tape:
+            tape.backward(T.sum_(a[[0, 0, 1]]))
+        np.testing.assert_array_equal(a.grad, [2.0, 1.0, 0.0, 0.0])
+
+    def test_basic_key_is_a_view(self):
+        a = T.Tensor(np.arange(12.0).reshape(3, 4))
+        assert np.shares_memory(a[1:, 2].data, a.data)
+
+    def test_column_selection_matches_take_bytewise(self):
+        # numpy returns a column selection Fortran-ordered, and a reduction
+        # over that layout can differ from np.take's in the last bit
+        x = rng_for(5900).standard_normal((3000, 40))
+        cols = np.sort(rng_for(5901).choice(40, size=25, replace=False))
+        out = T.Tensor(x)[:, cols].data
+        assert out.flags.c_contiguous
+        want = np.take(x, cols, axis=1)
+        assert out.mean(axis=0).tobytes() == want.mean(axis=0).tobytes()
 
 
 class TestAttentionRefusals:
