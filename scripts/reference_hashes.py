@@ -28,9 +28,11 @@ float32, and with a LARGE_CONTEXT_ROWS-row context, whose attention scores
 outgrow the L2 cache. Then CLI `predict` on the criterion-12 checkpoint of a
 hand-written classification and regression table (`write_edge_tables`) whose
 cells exercise the CSV ingest rules. Then CLI `predict` on the float32 desk
-checkpoint of MULTI_CHUNK_TEST_ROWS test rows, two full `infer.QUERY_CHUNK`
-decode chunks and a partial one, the only lines that decode more than one
-chunk. Last, `infer.predict` called directly on the float32 desk checkpoint
+checkpoint of MULTI_CHUNK_TEST_ROWS test rows, more than one
+`infer.QUERY_CHUNK`, the only lines that decode more than one chunk, and
+of a MANY_CLASSES-class table, the only line whose mixture head scatters
+over more than the prior's 2-4 classes.
+Last, `infer.predict` called directly on the float32 desk checkpoint
 with a generated API_CONTEXT_ROWS-row context (`Dataset.take`) and
 API_TEST_ROWS bare test rows, neither split with a missing mask, the only
 lines that do not pass through CSV ingest.
@@ -75,6 +77,9 @@ PREDICT_TRAIN_ROWS = 60
 LARGE_CONTEXT_ROWS = 1000
 PREDICT_TEST_ROWS = 20
 MULTI_CHUNK_TEST_ROWS = 600
+MANY_CLASSES = 10
+MANY_CLASS_TRAIN_ROWS = 160
+MANY_CLASS_TEST_ROWS = 40
 API_CONTEXT_ROWS = 600
 API_TEST_ROWS = 100
 SMALL_BATCH_CAP = 50
@@ -95,34 +100,39 @@ def quiet_cli(argv: list) -> None:
         raise RuntimeError(f"priorfit {argv[0]} exited with code {rc}")
 
 
-def generated_table(classification: bool, d: int, n: int, seed: int):
-    """A fixed-seed generated Dataset of n rows with categorical columns."""
+def generated_table(classification: bool, d: int, n: int, seed: int,
+                    classes: tuple = None):
+    """A fixed-seed generated Dataset of n rows with categorical columns;
+    classes is the class-count range, the prior's default when None."""
     from priorfit.prior import (GeneratorHyperSpace, generate_dataset,
                                 sample_generator)
     width = max(8, d)
     space = GeneratorHyperSpace(
         feature_count=(d, d), hidden_width=(width, width), layer_count=(3, 3),
         categorical_fraction=(0.3, 0.3),
-        classification_prob=1.0 if classification else 0.0)
+        classification_prob=1.0 if classification else 0.0,
+        **({} if classes is None else {"class_count": classes}))
     return generate_dataset(sample_generator(space, seed), n, seed)
 
 
 def export_table(path: Path, classification: bool, d: int, n: int,
-                 seed: int) -> None:
+                 seed: int, classes: tuple = None) -> None:
     """Write a fixed-seed generated table with categorical columns and about
     MISSING_SHARE blank feature cells."""
     import numpy as np
     from priorfit.data_io import export_csv
-    ds = generated_table(classification, d, n, seed)
+    ds = generated_table(classification, d, n, seed, classes)
     ds.missing_mask = np.random.default_rng(seed).random((n, d)) < MISSING_SHARE
     export_csv(ds, path)
 
 
 def split_table(work: Path, classification: bool, d: int,
-                n: int = PREDICT_TRAIN_ROWS, n_test: int = PREDICT_TEST_ROWS) -> None:
+                n: int = PREDICT_TRAIN_ROWS, n_test: int = PREDICT_TEST_ROWS,
+                classes: tuple = None) -> None:
     """Write train.csv (n rows) and test.csv (n_test rows) of a fixed-seed
     table with d features."""
-    export_table(work / "table.csv", classification, d, n + n_test, seed=d)
+    export_table(work / "table.csv", classification, d, n + n_test, seed=d,
+                 classes=classes)
     header, *rows = (work / "table.csv").read_text().splitlines(True)
     (work / "train.csv").write_text(header + "".join(rows[:n]))
     (work / "test.csv").write_text(header + "".join(rows[n:]))
@@ -330,6 +340,12 @@ def main(src: Path) -> int:
             task = "class" if classification else "regr"
             label = f"predict_desk_{task}_d3_t{MULTI_CHUNK_TEST_ROWS}"
             print(f"{label:<34} {sha256(work / 'predictions.csv')}")
+
+        split_table(work, True, 3, MANY_CLASS_TRAIN_ROWS, MANY_CLASS_TEST_ROWS,
+                    classes=(MANY_CLASSES, MANY_CLASSES))
+        quiet_cli(predict_argv(work, work / "desk.npz"))
+        label = f"predict_desk_class_d3_c{MANY_CLASSES}"
+        print(f"{label:<34} {sha256(work / 'predictions.csv')}")
 
         for classification in (True, False):
             label = f"predict_api_{'class' if classification else 'regr'}_d3"

@@ -28,11 +28,16 @@ together equal the joint masked pass: the training context is encoded once
 (`Model.encode_context`), then test rows are decoded against it QUERY_CHUNK
 rows at a time, so decode attention memory is O(QUERY_CHUNK x n_train).
 Each block's attention (`tensor.attention`) holds one scores buffer, which
-the scale, max-shift, exp and normalization overwrite in place, so the
-encode peaks at one heads x n_train x n_train buffer. The last encoded
-context stays in a one-entry cache keyed by the model checksum, the model
-config, the default dtype and a blake2b digest of the normalized training
-block and its label values with their shapes and dtypes. Its `kv` holds each
+a row max reads, the max-shift and exp overwrite in place and a row sum
+reads; the scale sits on the queries and the normalization on the output
+rows, so no other pass touches it. The encode peaks at one heads x n_train
+x n_train buffer, and each decode thread at one heads x QUERY_CHUNK x
+n_train buffer: at the desk config's 2 heads with BATCH_CAP training rows,
+2 x 512 x 3,000 scores, 24.6 MB in float64 (half that in float32). The
+last encoded context stays in a one-entry cache keyed by the model
+checksum, the model config, the default dtype and a blake2b digest of the
+normalized training block and its label values with their shapes and
+dtypes. Its `kv` holds each
 block's head-split key and value arrays, written once by the encode:
 n_blocks x 2 x n_train x d_model floats (plus the two mixture key
 projections of the training states, 2 x n_train x d_model).
@@ -44,7 +49,7 @@ With BLAS threads not pinned, OpenBLAS takes every CPU and the decode stays
 serial. The output bytes do not depend on the worker count: each chunk runs
 the same ops on the same rows as in the serial loop, the context is encoded
 before the fan-out and only read by the chunks, each attention call
-softmaxes in its own scores buffer, and each chunk enters the model's dtype
+works in its own scores buffer, and each chunk enters the model's dtype
 scope itself, since a dtype scope is per thread (`tensor.dtype_scope`).
 `predict` refuses to run under a recording tape, which the threads would
 share. The pool is joined before `predict` returns, also when a chunk raises.
@@ -84,7 +89,7 @@ log = logging.getLogger(__name__)
 
 FEATURE_BUDGET = 100
 BATCH_CAP = 3000
-QUERY_CHUNK = 256
+QUERY_CHUNK = 512
 
 
 class ZeroUpdateViolation(RuntimeError):
@@ -211,7 +216,7 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
                 with T.dtype_scope(dtype):  # a decode thread starts at float64
                     return head(model.decode(Tensor(test_xn[None, s:s + QUERY_CHUNK]),
                                              context))
-            return _map_on_idle_cpus(chunk, range(0, max(test_xn.shape[0], 1), QUERY_CHUNK))
+            return _map_on_idle_cpus(chunk, range(0, test_xn.shape[0], QUERY_CHUNK))
 
         if train.task == CLASSIFICATION:
             probs = decoded(lambda h: model.class_head(
@@ -239,7 +244,13 @@ def _combine_batches(parts: list[Prediction], batches: list[Dataset]
         return Prediction(task=CLASSIFICATION, probs=mixed, classes=classes)
     mu = np.stack([p.mu for p in parts])
     sigma = np.stack([p.sigma for p in parts])
-    inv_var = 1.0 / sigma ** 2
+    # each row's sigmas scaled by the power of two of its smallest, so a
+    # batch with a tiny target spread cannot overflow sigma^-2 (a sigma whose
+    # scaled square overflows weighs 0); the scaling is exact, so share and
+    # the combined sigma keep their bytes otherwise
+    _, exp = np.frexp(sigma.min(axis=0))
+    with np.errstate(over="ignore"):
+        inv_var = 1.0 / np.ldexp(sigma, -exp) ** 2
     share = inv_var / inv_var.sum(axis=0)
     floors = [SIGMA_FLOOR * (sd if sd > 0 else 1.0)
               for sd in (b.y_values.data.std() for b in batches)]
@@ -249,7 +260,7 @@ def _combine_batches(parts: list[Prediction], batches: list[Dataset]
         log.warning("inverse-variance aggregation dominated by floored "
                     "sigmas on %d test rows", int((floor_share > 0.99).sum()))
     return Prediction(task=REGRESSION, mu=(share * mu).sum(axis=0),
-                      sigma=1.0 / np.sqrt(inv_var.sum(axis=0)))
+                      sigma=np.ldexp(1.0 / np.sqrt(inv_var.sum(axis=0)), exp))
 
 
 def _combine_members(members: list[Prediction]) -> Prediction:
@@ -280,12 +291,15 @@ def predict(model: Model, train: Dataset, test_x: np.ndarray,
     splits), the training rows are split into batches of at most BATCH_CAP,
     and each of `ensemble` members predicts every batch under its own column
     order (the first member keeps the identity). Each member's batches are
-    combined, then the members. All draws derive from `seed`. A non-finite
-    cell that its split's mask does not mark missing is refused."""
+    combined, then the members. All draws derive from `seed`. Zero test
+    rows, and a non-finite cell that its split's mask does not mark missing,
+    are refused."""
     if ensemble < 1:
         raise ValueError("ensemble needs at least one member")
     if T._ACTIVE_TAPE is not None:  # decode threads would record into it in no fixed order
         raise T.TensorError("predict refused under a recording tape")
+    if test_x.shape[0] < 1:
+        raise ValueError("cannot predict zero test rows")
     if test_x.shape[1] != train.d:
         raise ValueError(f"test rows have {test_x.shape[1]} features, "
                          f"training rows have {train.d}")

@@ -256,11 +256,13 @@ class Model:
         """
         p = self.params
         scale = 1.0 / np.sqrt(self.cfg.d_model)
-        w_logits = T.mul(T.matmul(T.matmul(q_t, p["mixture/weight_q"]),
-                                  T.permute(keys["weight_k"], (0, 2, 1))), scale)
-        probs = T.softmax(w_logits, axis=-1)
-        g_logits = T.mul(T.matmul(T.matmul(q_t, p["mixture/gate_q"]),
-                                  T.permute(keys["gate_k"], (0, 2, 1))), scale)
+
+        def logits(name):  # scaled on the (queries x d_model) side
+            query = T.mul(T.matmul(q_t, p[f"mixture/{name}_q"]), scale)
+            return T.matmul(query, T.permute(keys[f"{name}_k"], (0, 2, 1)))
+
+        probs = T.softmax(logits("weight"), axis=-1)
+        g_logits = logits("gate")
         if gate_rng is None:
             gates = T.sigmoid(g_logits)
         else:
@@ -331,10 +333,14 @@ class Model:
             np.savez(fh, **payload)
 
     @classmethod
-    def load(cls, path) -> tuple["Model", dict, dict[str, np.ndarray]]:
-        """Read a checkpoint. Its config is built by the rule YAML configs
-        use, so an unknown key is refused by name; the embed_mode key of
-        older headers is dropped when it names the dense embedding."""
+    def load(cls, path, training_state: bool = False
+             ) -> tuple["Model", dict, dict[str, np.ndarray]]:
+        """Read a checkpoint: the model, the header's extra dict, and the
+        saved training arrays (optimizer moments, agent weights) when
+        training_state is set, else an empty dict without reading them. Its
+        config is built by the rule YAML configs use, so an unknown key is
+        refused by name; the embed_mode key of older headers is dropped when
+        it names the dense embedding."""
         from .config import _build
         with np.load(path) as z:
             header = json.loads(bytes(z["__header__"]).decode())
@@ -356,6 +362,7 @@ class Model:
                 if model.params[name].data.shape != arr.shape:
                     raise ValueError(f"checkpoint parameter '{name}' has shape "
                                      f"{arr.shape}, expected {model.params[name].shape}")
-                model.params[name].data = arr.copy()
-            aux = {k[len("aux::"):]: z[k].copy() for k in z.files if k.startswith("aux::")}
+                model.params[name].data = arr
+            aux = {k[len("aux::"):]: z[k] for k in z.files
+                   if k.startswith("aux::")} if training_state else {}
         return model, header["extra"], aux

@@ -439,16 +439,6 @@ def _inplace(ufunc, a: np.ndarray, b) -> np.ndarray:
     return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
 
 
-def _softmax_into(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None
-                  ) -> np.ndarray:
-    """Softmax of x along axis in one buffer: out (x itself for in place) or a
-    fresh one, which the max-shift, exp and normalization all reuse."""
-    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
-
-
 def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     """Backward of softmax output out: (g - sum(g * out)) * out, the product
     written into the difference's fresh buffer."""
@@ -458,8 +448,12 @@ def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax along axis in one fresh buffer, which the max-shift, exp and
+    normalization all reuse."""
     a = _as_tensor(a)
-    out = _softmax_into(a.data, axis)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
     return _record("softmax", out, (a,), lambda g: (_softmax_grad(g, out, axis),))
 
 
@@ -497,14 +491,15 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
     out by wo. Returns the output and the (k, v) arrays, each (B, heads,
     keys, d / heads).
 
-    One op per call: the scaled scores, their max-shift, exp and
-    normalization share the one buffer the score GEMM returns. Values and
-    gradients are bytewise those of the composition matmul / reshape /
-    permute / mul / softmax: the forward issues the same numpy calls on the
-    same layouts, and the backward replays that composition's per-op
-    gradients in the tape's order, summing the keys' and h's gradient paths
-    in the same association. Cached keys and values have no
-    gradient path to wk and wv, so kv under a recording tape is refused.
+    One op per call, equal within rounding to the composition matmul /
+    reshape / permute / mul / softmax, with the work on the scores buffer
+    cut to a max-shift, exp and row sum. The 1/sqrt(d / heads) scale is
+    folded into the queries before the score GEMM, and the output rows are
+    divided by the exp rows' sums after the value GEMM, as FlashAttention
+    (Dao et al., 2022) normalizes output rows rather than the probability
+    matrix: ctx = (e v) / sum(e) with e = exp(q k^T - rowmax). The backward
+    forms the probabilities once, in place in e. Cached keys and values have
+    no gradient path to wk and wv, so kv under a recording tape is refused.
     """
     h, wq, wk, wv, wo = parents = tuple(_as_tensor(t) for t in (h, wq, wk, wv, wo))
     d = h.shape[-1]
@@ -525,24 +520,28 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
         return a.transpose(0, 2, 1, 3).reshape(B, a.shape[2], d)
 
     keys = h.data[:, :key_count]
-    q = split(h.data @ wq.data)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=_DEFAULT.value)
+    q = split(_inplace(np.multiply, h.data @ wq.data, scale))
     if kv is None:
         k, v = split(keys @ wk.data), split(keys @ wv.data)
     else:
         k, v = kv
         if k.shape != v.shape or k.shape[:2] + k.shape[3:] != (B, heads, dh):
             raise ShapeMismatch("attention(kv)", h.shape, k.shape, v.shape)
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=_DEFAULT.value)
-    probs = _inplace(np.multiply, q @ np.swapaxes(k, -1, -2), scale)
-    probs = _softmax_into(probs, -1, out=probs)
-    ctx = merge(probs @ v)
+    e = q @ np.swapaxes(k, -1, -2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    rowsum = e.sum(axis=-1, keepdims=True)
+    ctx = e @ v
+    ctx /= rowsum
+    ctx = merge(ctx)
     out = ctx @ wo.data
 
     def backward(g):
+        probs = np.divide(e, rowsum, out=e)
         gwo = (np.swapaxes(ctx, -1, -2) @ g).sum(axis=0) if wo.requires_grad else None
         gctx = split(g @ np.swapaxes(wo.data, -1, -2))
-        gs = _inplace(np.multiply, _softmax_grad(gctx @ np.swapaxes(v, -1, -2), probs, -1),
-                      scale)
+        gs = _softmax_grad(gctx @ np.swapaxes(v, -1, -2), probs, -1)
 
         def project(x, w, gy):  # input and weight gradients of x @ w, split as gy
             gy = merge(gy)
@@ -552,9 +551,9 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
 
         gkeys_v, gwv = project(keys, wv, np.swapaxes(probs, -1, -2) @ gctx)
         gkeys_k, gwk = project(keys, wk, np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2))
-        gh_q, gwq = project(h.data, wq, gs @ k)
+        gh_q, gwq = project(h.data, wq, _inplace(np.multiply, gs @ k, scale))
         gh = None
-        if h.requires_grad:  # associated as the tape sums: keys (v + k), then h
+        if h.requires_grad:
             gkeys = gkeys_v + gkeys_k
             if key_count < n:  # rows past the keys get no key gradient
                 padded = np.zeros_like(h.data)
@@ -630,7 +629,8 @@ def stack(tensors, axis: int = 0) -> Tensor:
 def scatter_add(values, indices, num_segments: int) -> Tensor:
     """Batched segment-sum over the last axis: values (B, ..., k) and index
     (B, k) give out[b, ..., c] = sum of values[b, ..., j] where
-    index[b, j] == c. Backward gathers the upstream gradient back to each
+    index[b, j] == c, computed as one batched GEMM against the (B, k, C)
+    one-hot of index. Backward gathers the upstream gradient back to each
     source position exactly.
     """
     v = _as_tensor(values)
@@ -640,8 +640,10 @@ def scatter_add(values, indices, num_segments: int) -> Tensor:
         raise ShapeMismatch("scatter_add", v.shape, idx.shape)
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= num_segments):
         raise ShapeMismatch("scatter_add(index out of range)", idx.shape, (num_segments,))
-    out = np.einsum("b...k,bkc->b...c", v.data,
-                    np.eye(num_segments, dtype=v.data.dtype)[idx])
+    B, k = idx.shape
+    onehot = np.eye(num_segments, dtype=v.data.dtype)[idx]  # (B, k, C)
+    rows = v.data.reshape(B, math.prod(v.shape[1:-1]), k)
+    out = (rows @ onehot).reshape(v.shape[:-1] + (num_segments,))
 
     def backward(g):
         gather = np.expand_dims(idx, tuple(range(1, g.ndim - 1)))  # (B, 1.., k)

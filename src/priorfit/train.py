@@ -378,7 +378,7 @@ def pretrain(cfg: TrainConfig, model_cfg: ModelConfig, space: GeneratorHyperSpac
         steps = math.ceil(cfg.total_datasets / cfg.effective_batch)
         agents = make_agents(cfg.datasets_per_step, space, cfg.seed, agent_cfg)
         if resume_from is not None:
-            model, extra, aux = Model.load(resume_from)
+            model, extra, aux = Model.load(resume_from, training_state=True)
             _refuse_config_drift("model", model.cfg, model_cfg)
             adam, start = _restore_training_state(extra, aux, cfg, agents)
         else:

@@ -416,7 +416,7 @@ class TestThreadedEvaluate:
     def test_decode_threads_nested_in_evaluate_threads(
             self, run_dir, tmp_path, capsys, caplog, monkeypatch):
         _, _, out = run_dir
-        rows = 1300  # 260 test rows per split: two decode chunks
+        rows = 2600  # 520 test rows per split: two decode chunks
         assert rows - round(0.8 * rows) > infer.QUERY_CHUNK
         suite = evaluation_suite(tmp_path / "suite", rows=rows)
         runs = [self.evaluate(monkeypatch, capsys, caplog, workers, out / "checkpoint.npz",

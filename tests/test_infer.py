@@ -213,6 +213,18 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(MODEL, ds, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("ensemble", [1, 2])
+    def test_zero_test_rows_refused_without_a_warning(self, task, ensemble):
+        # two members used to average over no rows: NaN member_variance and
+        # numpy's empty-slice RuntimeWarnings
+        rng = np.random.default_rng(7)
+        train = class_train(rng) if task == CLASSIFICATION else regr_train(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero test rows"):
+                predict(MODEL, train, np.zeros((0, 3)), ensemble=ensemble)
+
     def test_classes_are_original_labels(self):
         rng = np.random.default_rng(4)
         labels = np.array([5, 9, 5, 9, 9, 5, 5, 9])
@@ -366,6 +378,33 @@ class TestAggregateRegression:
         train = regr_train(rng, n=4)
         out = predict(MODEL, train, np.zeros((2, 3)))
         np.testing.assert_allclose(out.mu, [3.0, 1.0])
+
+    def test_tiny_sigma_dominates_without_overflow(self, monkeypatch):
+        # a batch whose targets spread by about 1e-155 has a sigma whose square
+        # is below float64's range: sigma^-2 overflowed and the mean was NaN
+        scripted_forward(monkeypatch, [
+            Prediction(task=REGRESSION, mu=np.array([2e-155]), sigma=np.array([1e-156])),
+            Prediction(task=REGRESSION, mu=np.array([5.0]), sigma=np.array([2.0])),
+        ])
+        monkeypatch.setattr(infer, "BATCH_CAP", 2)
+        train = regr_train(np.random.default_rng(15), n=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = predict(MODEL, train, np.zeros((1, 3)))
+        np.testing.assert_allclose(out.mu, [2e-155], rtol=1e-12)
+        np.testing.assert_allclose(out.sigma, [1e-156], rtol=1e-12)
+
+    def test_ordinary_sigmas_combine_bytewise_as_the_plain_formula(self):
+        rng = np.random.default_rng(16)
+        mu, sigma = rng.standard_normal((3, 50)), np.exp(rng.uniform(-7, 7, (3, 50)))
+        train = regr_train(rng, n=6)
+        parts = [Prediction(task=REGRESSION, mu=m, sigma=s) for m, s in zip(mu, sigma)]
+        out = infer._combine_batches(parts, [train.take(np.arange(i, i + 2))
+                                             for i in (0, 2, 4)])
+        inv_var = 1.0 / sigma ** 2
+        share = inv_var / inv_var.sum(axis=0)
+        assert out.mu.tobytes() == (share * mu).sum(axis=0).tobytes()
+        assert out.sigma.tobytes() == (1.0 / np.sqrt(inv_var.sum(axis=0))).tobytes()
 
     def test_single_batch_is_identity(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -820,7 +859,7 @@ class TestThreadedDecode:
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_test", [1, 256, 257, 1100])
+    @pytest.mark.parametrize("n_test", [1, 256, 257, 512, 513, 1100])
     def test_bytes_independent_of_worker_count(self, monkeypatch, task, dtype, n_test):
         model = MODEL if dtype is np.float64 else float32_copy(MODEL)
         rng = np.random.default_rng(30)

@@ -451,6 +451,23 @@ class TestScatterRouting:
             tape.backward(loss)
         np.testing.assert_array_equal(v.grad, weights[0, idx])
 
+    # each output is a 1,500-term dot product with the one-hot, rounded in
+    # the input dtype: float32 within a few ulps of the largest sum
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("middle", [(), (3, 5)])
+    def test_many_classes_against_a_float64_loop_sum(self, dtype, rtol, middle):
+        rng = rng_for(7000)
+        B, k, c = 2, 1500, 1000
+        idx = rng.integers(0, c, size=(B, k))
+        idx[:, :c] = rng.permutation(c)  # every segment filled
+        v = rng.standard_normal((B,) + middle + (k,)).astype(dtype)
+        want = np.zeros((B,) + middle + (c,))
+        for b in range(B):
+            np.add.at(np.moveaxis(want[b], -1, 0), idx[b], np.moveaxis(v[b], -1, 0))
+        got = T.scatter_add(T.Tensor(v, dtype=dtype), idx, c).data
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
+
 
 class TestCompositeGraphs:
     @pytest.mark.parametrize("seed", range(8))
