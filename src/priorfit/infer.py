@@ -28,19 +28,23 @@ together equal the joint masked pass: the training context is encoded once
 (`Model.encode_context`), then test rows are decoded against it QUERY_CHUNK
 rows at a time, so decode attention memory is O(QUERY_CHUNK x n_train).
 Each block's attention (`tensor.attention`) holds one scores buffer, which
-a row max reads, the max-shift and exp overwrite in place and a row sum
-reads; the scale sits on the queries and the normalization on the output
-rows, so no other pass touches it. The encode peaks at one heads x n_train
-x n_train buffer, and each decode thread at one heads x QUERY_CHUNK x
-n_train buffer: at the desk config's 2 heads with BATCH_CAP training rows,
-2 x 512 x 3,000 scores, 24.6 MB in float64 (half that in float32). The
-last encoded context stays in a one-entry cache keyed by the model
-checksum, the model config, the default dtype and a blake2b digest of the
-normalized training block and its label values with their shapes and
-dtypes. Its `kv` holds each
-block's head-split key and value arrays, written once by the encode:
-n_blocks x 2 x n_train x d_model floats (plus the two mixture key
-projections of the training states, 2 x n_train x d_model).
+exp overwrites in place and a row sum reads; a row max and a max-shift
+touch it too only where the logit bound leaves room for overflow. The scale
+sits on the queries and the normalization on the output rows, so no other
+pass touches it. The encode peaks at one heads x n_train x n_train buffer,
+and each decode thread at one heads x QUERY_CHUNK x n_train buffer: at the
+desk config's 2 heads with BATCH_CAP training rows, 2 x 512 x 3,000
+scores, 24.6 MB in float64 (half that in float32). Only the mixture
+classification head reads the training rows' final states
+(`Model.reads_context_states`); for a Gaussian or dense head the encode
+stops at the last block's keys and values. The last encoded context stays
+in a one-entry cache keyed by the model checksum, the model config, the
+default dtype, whether the context holds the mixture keys, and a blake2b
+digest of the normalized training block and its label values with their
+shapes and dtypes. Its `kv` holds each block's head-split key and value
+arrays, written once by the encode: n_blocks x 2 x n_train x d_model
+floats (plus, for the mixture head, the two mixture key projections of the
+training states, 2 x n_train x d_model).
 
 The decode chunks fan out over `_map_on_idle_cpus`, on as many threads as
 the usable CPUs the BLAS library leaves idle (`_idle_cpu_threads`: CPUs //
@@ -135,21 +139,24 @@ _encoded: tuple = (None, None)  # (key, EncodedContext) of the last encode
 
 
 def _encode(model: Model, checksum: int, train_xn: np.ndarray,
-            y_train: np.ndarray) -> EncodedContext:
-    """The encoded training context, from the one-entry cache on a key hit.
-    The entry is read once and returned from a local, so a thread gets the
-    context it found or built even when another thread replaces the entry."""
+            y_train: np.ndarray, states: bool) -> EncodedContext:
+    """The encoded training context, from the one-entry cache on a key hit;
+    states says whether it must hold the mixture keys (Model.encode_context),
+    and the key names it. The entry is read once and returned from a local,
+    so a thread gets the context it found or built even when another thread
+    replaces the entry."""
     global _encoded
     digest = hashlib.blake2b(digest_size=32)
     for a in (train_xn, y_train):
         digest.update(f"{a.shape}{a.dtype.str}".encode())
         digest.update(np.ascontiguousarray(a).tobytes())
-    key = (checksum, model.cfg, np.dtype(T.default_dtype()).str, digest.digest())
+    key = (checksum, model.cfg, np.dtype(T.default_dtype()).str, states,
+           digest.digest())
     entry = _encoded
     if entry[0] != key:
         _encoded = entry = (None, None)  # free the old entry before encoding
-        _encoded = entry = (key, model.encode_context(Tensor(train_xn[None]),
-                                                      Tensor(y_train[None])))
+        _encoded = entry = (key, model.encode_context(
+            Tensor(train_xn[None]), Tensor(y_train[None]), states))
     return entry[1]
 
 
@@ -209,7 +216,8 @@ def _forward_prediction(model: Model, train: Dataset, test_x: np.ndarray,
 
     dtype = model.dtype
     with T.dtype_scope(dtype):
-        context = _encode(model, checksum, train_xn, y_train)
+        context = _encode(model, checksum, train_xn, y_train,
+                          model.reads_context_states(train.task))
 
         def decoded(head) -> list:  # head outputs, QUERY_CHUNK test rows at a time
             def chunk(s):

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .prior import CLASSIFICATION
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -92,11 +93,12 @@ class EncodedContext:
     """What query rows read from a training context run through the blocks
     once: each block's head-split keys and values of its ln1 output, the
     number l of training rows, and the mixture head's key projections of
-    the final-LN training states."""
+    the final-LN training states, None when the head reads no training
+    states (Model.reads_context_states)."""
 
     kv: dict[str, tuple[np.ndarray, np.ndarray]]
     l: int
-    mixture_keys: dict[str, Tensor]
+    mixture_keys: Optional[dict[str, Tensor]]
 
 
 class Model:
@@ -165,7 +167,7 @@ class Model:
         for name in self.params:
             t = self.params[name]
             crc = zlib.crc32(name.encode(), crc)
-            crc = zlib.crc32(np.ascontiguousarray(t.data).tobytes(), crc)
+            crc = zlib.crc32(np.ascontiguousarray(t.data), crc)
         return crc
 
     # -- embedding --------------------------------------------------------
@@ -209,27 +211,47 @@ class Model:
 
     # -- trunk and heads --------------------------------------------------
 
-    def transformer(self, tokens: Tensor, l: int, kv: Optional[dict] = None
-                    ) -> Tensor:
+    def transformer(self, tokens: Tensor, l: int, kv: Optional[dict] = None,
+                    states: bool = True) -> Optional[Tensor]:
         """Contextualize tokens; every token attends to the l training tokens
         only. kv caches their keys and values per block: an empty dict is
         filled (tokens are the training tokens alone), a filled one is
-        attended to (tokens are query rows)."""
+        attended to (tokens are query rows). With states False only kv is
+        filled and None returned: the last block stops at its keys and
+        values, since its attention, feed-forward and the final LN would
+        produce states that nothing reads."""
         if l < 1:
             raise ValueError("masked transformer needs a non-empty training partition")
+        p = self.params
         h = tokens
         for i in range(self.cfg.n_blocks):
-            h = self._block(h, l, f"blocks/{i}", kv)
-        return T.layer_norm(h, self.params["final_ln/gain"], self.params["final_ln/bias"])
+            prefix = f"blocks/{i}"
+            if not states and i == self.cfg.n_blocks - 1:
+                h = T.layer_norm(h, p[f"{prefix}/ln1/gain"], p[f"{prefix}/ln1/bias"])
+                kv[prefix] = T.attention_kv(h.data, p[f"{prefix}/attn/wk"].data,
+                                            p[f"{prefix}/attn/wv"].data, self.cfg.n_heads)
+                return None
+            h = self._block(h, l, prefix, kv)
+        return T.layer_norm(h, p["final_ln/gain"], p["final_ln/bias"])
 
-    def encode_context(self, x: Tensor, y_values: Tensor) -> EncodedContext:
+    def reads_context_states(self, task: str) -> bool:
+        """Whether the head for task reads the training rows' final states
+        (through mixture_keys): only the mixture classification head does;
+        the Gaussian and dense heads read the query states alone."""
+        return task == CLASSIFICATION and self.cfg.head == "mixture"
+
+    def encode_context(self, x: Tensor, y_values: Tensor, states: bool = True
+                       ) -> EncodedContext:
         """Run the label-embedded training rows (B, l, d) through the blocks
         once, with full self-attention among them: the masked pass with no
-        test rows."""
+        test rows. With states False (a head that reads no training states)
+        the pass stops at the last block's keys and values and the context
+        holds no mixture keys."""
         l = x.shape[1]
         kv: dict = {}
-        states = self.transformer(self.embed_episode(x, y_values, l), l, kv)
-        return EncodedContext(kv=kv, l=l, mixture_keys=self.mixture_keys(states))
+        out = self.transformer(self.embed_episode(x, y_values, l), l, kv, states)
+        return EncodedContext(kv=kv, l=l,
+                              mixture_keys=self.mixture_keys(out) if states else None)
 
     def decode(self, x: Tensor, context: EncodedContext) -> Tensor:
         """Final-LN states of query rows x (B, m, d), embedded without labels,
@@ -302,10 +324,11 @@ class Model:
         sigma = T.add(T.softplus(out[:, :, 1]), SIGMA_FLOOR)
         return mu, sigma
 
-    def class_head(self, q_t: Tensor, keys: dict[str, Tensor],
+    def class_head(self, q_t: Tensor, keys: Optional[dict[str, Tensor]],
                    train_labels: np.ndarray, n_classes: int,
                    gate_rng: Optional[np.random.Generator] = None) -> Tensor:
-        """The configured classification head over the query states q_t."""
+        """The configured classification head over the query states q_t; keys
+        are the mixture_keys, None where reads_context_states is False."""
         if self.cfg.head == "dense":
             return self.dense_head(q_t, n_classes)
         return self.mixture_head(q_t, keys, train_labels, n_classes, gate_rng)

@@ -318,11 +318,11 @@ def sigmoid(a) -> Tensor:
 
 
 def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
+    # below and for NaN; np.minimum returns x itself for a NaN, keeping its sign
+    ex = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, ex)
+    out /= 1.0 + ex
     return out
 
 
@@ -484,22 +484,49 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record("layer_norm", out, (x, gain, bias), backward)
 
 
+# scores at most this in magnitude need no max-shift before exp: in float32
+# a row sum of e^30 = 1.1e13 terms overflows only past 3e25 keys, and each
+# row's largest entry is at least e^-30, a normal number
+_EXP_BOUND = 30.0
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(B, m, d) -> (B, heads, m, d / heads) view."""
+    B, m, d = a.shape
+    return a.reshape(B, m, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def attention_kv(keys: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+                 heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """The head-split keys and values (B, heads, m, d / heads) of the key
+    rows (B, m, d), as attention computes and returns them."""
+    return _split_heads(keys @ wk, heads), _split_heads(keys @ wv, heads)
+
+
+def _max_norm(a: np.ndarray) -> np.ndarray:
+    """The largest row norm of (B, heads, m, dh) per (B, heads); 0 for no rows."""
+    return np.sqrt(np.einsum("bhmd,bhmd->bhm", a, a).max(axis=-1, initial=0.0))
+
+
 def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
               kv: Optional[tuple] = None) -> tuple[Tensor, tuple]:
     """Multi-head attention of every row of h (B, n, d) over its first
     key_count rows, or over cached head-split keys and values kv, projected
     out by wo. Returns the output and the (k, v) arrays, each (B, heads,
-    keys, d / heads).
+    keys, d / heads), as attention_kv computes them.
 
     One op per call, equal within rounding to the composition matmul /
     reshape / permute / mul / softmax, with the work on the scores buffer
-    cut to a max-shift, exp and row sum. The 1/sqrt(d / heads) scale is
-    folded into the queries before the score GEMM, and the output rows are
-    divided by the exp rows' sums after the value GEMM, as FlashAttention
-    (Dao et al., 2022) normalizes output rows rather than the probability
-    matrix: ctx = (e v) / sum(e) with e = exp(q k^T - rowmax). The backward
-    forms the probabilities once, in place in e. Cached keys and values have
-    no gradient path to wk and wv, so kv under a recording tape is refused.
+    cut to exp and a row sum. The 1/sqrt(d / heads) scale is folded into the
+    queries before the score GEMM, and the output rows are divided by the
+    exp rows' sums after the value GEMM, as FlashAttention (Dao et al.,
+    2022) normalizes output rows rather than the probability matrix:
+    ctx = (e v) / sum(e) with e = exp(q k^T). The max-shift that guards exp
+    against overflow (e = exp(q k^T - rowmax)) runs only when the
+    Cauchy-Schwarz bound |q_i . k_j| <= max |q| max |k| exceeds _EXP_BOUND
+    for some (batch, head) pair. The backward forms the probabilities once,
+    in place in e. Cached keys and values have no gradient path to wk and
+    wv, so kv under a recording tape is refused.
     """
     h, wq, wk, wv, wo = parents = tuple(_as_tensor(t) for t in (h, wq, wk, wv, wo))
     d = h.shape[-1]
@@ -513,23 +540,21 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
                           "path to wk and wv; refused under a recording tape")
     B, n, dh = h.shape[0], h.shape[1], d // heads
 
-    def split(a):  # (B, m, d) -> (B, heads, m, dh) view
-        return a.reshape(B, a.shape[1], heads, dh).transpose(0, 2, 1, 3)
-
     def merge(a):  # (B, heads, m, dh) -> (B, m, d) copy
         return a.transpose(0, 2, 1, 3).reshape(B, a.shape[2], d)
 
     keys = h.data[:, :key_count]
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=_DEFAULT.value)
-    q = split(_inplace(np.multiply, h.data @ wq.data, scale))
+    q = _split_heads(_inplace(np.multiply, h.data @ wq.data, scale), heads)
     if kv is None:
-        k, v = split(keys @ wk.data), split(keys @ wv.data)
+        k, v = attention_kv(keys, wk.data, wv.data, heads)
     else:
         k, v = kv
         if k.shape != v.shape or k.shape[:2] + k.shape[3:] != (B, heads, dh):
             raise ShapeMismatch("attention(kv)", h.shape, k.shape, v.shape)
     e = q @ np.swapaxes(k, -1, -2)
-    e -= e.max(axis=-1, keepdims=True)
+    if not (_max_norm(q) * _max_norm(k) <= _EXP_BOUND).all():
+        e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     rowsum = e.sum(axis=-1, keepdims=True)
     ctx = e @ v
@@ -540,7 +565,7 @@ def attention(h, wq, wk, wv, wo, heads: int, key_count: int,
     def backward(g):
         probs = np.divide(e, rowsum, out=e)
         gwo = (np.swapaxes(ctx, -1, -2) @ g).sum(axis=0) if wo.requires_grad else None
-        gctx = split(g @ np.swapaxes(wo.data, -1, -2))
+        gctx = _split_heads(g @ np.swapaxes(wo.data, -1, -2), heads)
         gs = _softmax_grad(gctx @ np.swapaxes(v, -1, -2), probs, -1)
 
         def project(x, w, gy):  # input and weight gradients of x @ w, split as gy

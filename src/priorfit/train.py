@@ -182,8 +182,9 @@ def _forward_episode_losses(model: Model, datasets: list[Dataset], l: int,
             valid[b] = classes[at] == test
             test_idx[b] = np.where(valid[b], at, 0)
             n_classes = max(n_classes, classes.size)
-        probs = model.class_head(states[:, l:], model.mixture_keys(states[:, :l]),
-                                 train01, n_classes, gate_rng)
+        keys = (model.mixture_keys(states[:, :l])
+                if model.reads_context_states(CLASSIFICATION) else None)
+        probs = model.class_head(states[:, l:], keys, train01, n_classes, gate_rng)
         pieces.append(T.sum_(nll_classification(probs, test_idx, valid)))
     if reg:
         states, y = _episode_states(model, reg, l)

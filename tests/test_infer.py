@@ -640,6 +640,64 @@ class TestCachedChunkedPredict:
                                    rtol=0, atol=1e-12)
 
 
+class TestEncodeStopsAtWhatTheHeadReads:
+    """A head that reads no training states (Gaussian, dense) gets the last
+    block's keys and values without its training-row attention, feed-forward,
+    final LN or mixture keys; the mixture head gets the whole pass."""
+
+    @pytest.mark.parametrize("task,variant,blocks_run", [
+        (CLASSIFICATION, {}, 2),
+        (REGRESSION, {}, 1),
+        (CLASSIFICATION, {"head": "dense"}, 1),
+        (REGRESSION, {"head": "dense"}, 1)])
+    def test_attention_calls_over_the_training_rows(self, monkeypatch, encodes,
+                                                    task, variant, blocks_run):
+        rows, attention = [], T.attention
+
+        def counted(h, *args, **kwargs):
+            rows.append(h.shape[1])
+            return attention(h, *args, **kwargs)
+
+        monkeypatch.setattr(T, "attention", counted)
+        model = variant_model(variant)
+        assert model.cfg.n_blocks == 2
+        rng = np.random.default_rng(30)
+        train = class_train(rng, n=15) if task == CLASSIFICATION else regr_train(rng, n=15)
+        predict(model, train, rng.standard_normal((2, 3)))
+        assert rows.count(15) == blocks_run
+        context = infer._encoded[1]
+        assert sorted(context.kv) == ["blocks/0", "blocks/1"]
+        assert (context.mixture_keys is None) == (blocks_run == 1)
+
+    def test_last_keys_and_values_bytewise_the_full_pass(self):
+        model = variant_model({})
+        rng = np.random.default_rng(31)
+        x, y = Tensor(rng.standard_normal((1, 15, 3))), Tensor(rng.standard_normal((1, 15)))
+        full, cut = model.encode_context(x, y), model.encode_context(x, y, states=False)
+        for prefix, (k, v) in full.kv.items():
+            assert cut.kv[prefix][0].tobytes() == k.tobytes()
+            assert cut.kv[prefix][1].tobytes() == v.tobytes()
+
+    def test_constant_target_and_single_class_contexts_do_not_share_an_entry(
+            self, encodes):
+        # a constant target and a single class both code to all-zero labels,
+        # so the digest alone cannot tell the keyless regression context from
+        # the one the mixture head needs
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((8, 3))
+        labels = np.zeros(8, dtype=int)
+        flat = Dataset(X=Tensor(x), y_values=Tensor(np.full(8, 2.5)), y_labels=None,
+                       cat_mask=np.zeros(3, dtype=bool), task=REGRESSION)
+        single = Dataset(X=Tensor(x.copy()), y_values=Tensor(labels.astype(float)),
+                         y_labels=labels, cat_mask=np.zeros(3, dtype=bool),
+                         task=CLASSIFICATION)
+        test_x = rng.standard_normal((4, 3))
+        predict(MODEL, flat, test_x)
+        out = predict(MODEL, single, test_x)
+        assert len(encodes) == 2
+        np.testing.assert_allclose(out.probs, 1.0)
+
+
 class TestPredictAtModelDtype:
     """predict runs the forward pass at the dtype of the model's parameters
     and leaves the process default dtype as it found it."""
@@ -663,7 +721,7 @@ class TestPredictAtModelDtype:
         full = predicted(model, train, test_x)
         half = predicted(float32_copy(model), train, test_x)
         assert len(encodes) == 2
-        assert infer._encoded[1].mixture_keys["weight_k"].data.dtype == np.float32
+        assert all(a.dtype == np.float32 for kv in infer._encoded[1].kv.values() for a in kv)
         if task == CLASSIFICATION:
             np.testing.assert_allclose(half, full, rtol=0, atol=self.PROB_ATOL)
         else:

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -330,6 +331,18 @@ class TestCheckpoint:
         for t in loaded.params.values():
             assert t.data.flags.writeable
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_checksum_is_the_crc32_of_names_and_bytes(self, dtype):
+        m = Model(tiny_cfg(), seed=24)
+        for t in m.params.values():
+            t.data = t.data.astype(dtype)
+        m.params["blocks/0/attn/wq"].data = m.params["blocks/0/attn/wq"].data.T  # not C-ordered
+        crc = 0
+        for name, t in m.params.items():
+            crc = zlib.crc32(name.encode(), crc)
+            crc = zlib.crc32(np.ascontiguousarray(t.data).tobytes(), crc)
+        assert m.checksum() == crc
+
     @staticmethod
     def add_config_keys(path, **keys):
         """Rewrite the checkpoint at path with keys added to its header's
@@ -439,11 +452,24 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= RTOL[want.dtype.type] * scale
 
 
+def run_attention(op, arrays, heads, key_count, default):
+    """op's (k, v, output, input gradients...) under a dtype default, the
+    output projected on a fixed direction for the backward."""
+    proj = np.random.default_rng(41).standard_normal(arrays[0].shape).astype(arrays[0].dtype)
+    with T.dtype_scope(default):
+        tensors = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
+        with T.Tape() as tape:
+            out, (k, v) = op(*tensors, heads, key_count)
+            tape.backward(T.sum_(T.mul(out, Tensor(proj))))
+    k, v = (t.data if isinstance(t, Tensor) else t for t in (k, v))
+    return [k, v, out.data] + [t.grad for t in tensors]
+
+
 class TestAttentionMatchesComposition:
     """T.attention against the composition: the head-split keys and values
     are bytewise equal (the test names keep that part), and the forward
     output and every input gradient are equal within rounding, each with
-    the composition's dtype."""
+    the composition's dtype, on both sides of the exp bound."""
 
     @staticmethod
     def inputs(dtype, B=2, n=7, d=12, seed=40):  # 1/sqrt(d / heads) inexact
@@ -460,23 +486,35 @@ class TestAttentionMatchesComposition:
     # None: the reference is full self-attention, T.attention names all rows
     @pytest.mark.parametrize("key_count", [None, 4])
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_forward_and_gradients_bytewise(self, dtype, default, key_count, heads):
+    def test_forward_and_gradients_bytewise(self, monkeypatch, dtype, default,
+                                            key_count, heads):
         arrays = self.inputs(dtype)
-        proj = np.random.default_rng(41).standard_normal(arrays[0].shape).astype(dtype)
-        results = []
-        with T.dtype_scope(default):
-            for op, keys in ((reference_attention, key_count),
-                             (T.attention, key_count or arrays[0].shape[1])):
-                tensors = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
-                with T.Tape() as tape:
-                    out, (k, v) = op(*tensors, heads, keys)
-                    tape.backward(T.sum_(T.mul(out, Tensor(proj))))
-                k, v = (t.data if isinstance(t, Tensor) else t for t in (k, v))
-                results.append([k, v, out.data] + [t.grad for t in tensors])
-        for i, (want, got) in enumerate(zip(*results)):
-            assert_close(got, want)
-            assert i > 1 or got.tobytes() == want.tobytes()  # k and v
-        assert results[1][2].dtype == default  # the output
+        want = run_attention(reference_attention, arrays, heads, key_count, default)
+        for bound in (np.inf, -np.inf):  # exp of the raw, then the max-shifted scores
+            monkeypatch.setattr(T, "_EXP_BOUND", bound)
+            got = run_attention(T.attention, arrays, heads,
+                                key_count or arrays[0].shape[1], default)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert_close(a, b)
+                assert i > 1 or a.tobytes() == b.tobytes()  # k and v
+            assert got[2].dtype == default  # the output
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_past_the_bound_the_max_shift_keeps_exp_finite(self, monkeypatch,
+                                                            dtype, heads):
+        # largest scores 900 and 1,500, where exp overflows in both dtypes
+        arrays = self.inputs(dtype)
+        arrays[0] = arrays[0] * dtype(20.0)
+        want = run_attention(reference_attention, arrays, heads, None, dtype)
+        got = run_attention(T.attention, arrays, heads, arrays[0].shape[1], dtype)
+        for a, b in zip(got, want):
+            assert np.isfinite(a).all()
+            assert_close(a, b)
+        monkeypatch.setattr(T, "_EXP_BOUND", np.inf)  # exp of the raw scores
+        with np.errstate(all="ignore"), T.dtype_scope(dtype):
+            out, _ = T.attention(*(Tensor(a) for a in arrays), heads, 7)
+        assert not np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("heads", [1, 2])

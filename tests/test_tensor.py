@@ -373,6 +373,12 @@ class TestAttentionRefusals:
         with pytest.raises(T.ShapeMismatch, match="attention"):
             T.attention(h, wq, wk, T.Tensor(np.zeros((6, 4))), wo, 2, 4)
 
+    def test_no_query_rows_against_cached_keys(self):
+        tensors = self.inputs()
+        _, kv = T.attention(*tensors, 2, 4)
+        out, _ = T.attention(T.Tensor(np.zeros((1, 0, 6))), *tensors[1:], 2, 4, kv)
+        assert out.shape == (1, 0, 6)
+
     def test_cached_keys_refused_under_a_recording_tape(self):
         tensors = self.inputs()
         _, kv = T.attention(*tensors, 2, 4)
@@ -433,6 +439,29 @@ class TestGelu:
         # gelu(x) -> x, gelu'(x) -> 1 as x -> inf; both -> 0 as x -> -inf
         np.testing.assert_array_equal(out, np.array(x, dtype=dtype) * [1, 0, 1, 0, 1, 0, 0])
         np.testing.assert_array_equal(grad, [1, 0, 1, 0, 1, 0, 0.5])
+
+
+class TestSigmoid:
+    @staticmethod
+    def masked_formula(x):
+        """The two-branch sigmoid by boolean masks, exp(-x) where x >= 0."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytewise_the_masked_formula(self, dtype):
+        x = np.array([0.0, -0.0, 1e-40, -1e-40, 88.8, -88.8, 1e4, -1e4, np.nan],
+                     dtype=dtype)
+        x = np.concatenate([x, rng_for(6100).standard_normal(1000).astype(dtype) * 20])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T._sigmoid_arr(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == self.masked_formula(x).tobytes()
 
 
 class TestScatterRouting:
